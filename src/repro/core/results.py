@@ -52,10 +52,6 @@ def fold_from_dict(payload: dict) -> FoldResult:
     return FoldResult(**payload)
 
 
-# Backwards-compatible alias (pre-resilience name).
-_fold_to_dict = fold_to_dict
-
-
 def save_report(report: RunReport, path: str | os.PathLike) -> None:
     """Serialise a run report (results, failures, categories) to JSON."""
     payload = {

@@ -18,30 +18,31 @@ an append-only JSONL file as it completes, and ``resume_from=`` restores
 a killed run, skipping finished cells (see
 :mod:`repro.core.checkpoint`).
 
-Parallelism: ``workers > 1`` schedules cells onto a fork-based
-``ProcessPoolExecutor``. Datasets are loaded once in the parent; each
-worker runs the identical crash-isolation/retry/budget attempt loop as
-serial mode, records its spans on a private tracer, and ships the
-outcome plus serialised spans back. The parent merges outcomes in
-canonical grid order (dataset-major, registry algorithm order), writing
-report entries and checkpoint lines in exactly the order serial mode
-would — a parallel run's report and checkpoint are byte-identical to a
-serial run's (modulo wall-clock timings). Worker span trees are stitched
-under the parent's grid span via :meth:`repro.obs.trace.Tracer
-.adopt_spans`. If the pool breaks (a worker died hard), the remaining
-cells fall back to in-parent serial execution.
+One cell loop (:meth:`BenchmarkRunner._run_cells`) runs every grid.
+Datasets are loaded once, up front, in the parent. With ``workers > 1``
+the loop schedules cells onto a fork-based ``ProcessPoolExecutor``; each
+worker runs the identical crash-isolation/retry/budget attempt loop,
+records its spans on a private tracer, and ships the outcome plus
+serialised spans back. Otherwise each cell runs in the parent at its
+commit slot. Either way the parent commits outcomes in the plan's order,
+writing report entries and checkpoint lines itself — so a parallel run's
+report and checkpoint are byte-identical to a serial run's (modulo
+wall-clock timings). Worker span trees are stitched under the parent's
+grid span via :meth:`repro.obs.trace.Tracer.adopt_spans`. If the pool
+breaks (a worker died hard), the affected cells re-run in the parent.
 
-Scheduling: parallel submission order is chosen by the cost model in
-:mod:`repro.core.sched` — longest-estimated-first (LPT) by default, so
-the skewed grid's expensive cells start before the cheap ones pack the
-tail (``scheduler="fifo"`` keeps canonical submission order for A/B
-measurement). Because the commit loop above is untouched, the schedule
+Plans: a plain run commits its pending cells in canonical grid order
+(dataset-major, registry algorithm order) and submits them in the order
+chosen by the cost model in :mod:`repro.core.sched` —
+longest-estimated-first (LPT) by default, so the skewed grid's expensive
+cells start before the cheap ones pack the tail (``scheduler="fifo"``
+keeps canonical submission order for A/B measurement). The schedule
 changes only *when* cells execute, never what the artifacts contain.
 ``workers="auto"`` sizes the pool to the cores this process is actually
 allowed to use. ``shard="i/n"`` (with a checkpoint *directory*) runs one
-cost-balanced bin of the grid, stealing unclaimed cells from sibling
-shards when its own bin drains — see :meth:`BenchmarkRunner._run_sharded`
-and ``etsc-bench merge-checkpoints``.
+cost-balanced bin of the grid, then steals unclaimed cells from sibling
+shards — see :meth:`BenchmarkRunner._run_shard` and ``etsc-bench
+merge-checkpoints``.
 """
 
 from __future__ import annotations
@@ -205,8 +206,8 @@ class _CellOutcome:
 
     Separating the *attempt* (runs in a worker or the parent) from the
     *bookkeeping* (metrics, report, checkpoint, telemetry — always the
-    parent, always in canonical order) is what lets parallel runs merge
-    deterministically.
+    parent, always in the plan's commit order) is what lets parallel runs
+    merge deterministically.
     """
 
     algorithm: str
@@ -431,18 +432,22 @@ class BenchmarkRunner:
         )
 
     def _open_checkpoint(
-        self, report: RunReport, fingerprint: dict
+        self,
+        report: RunReport,
+        fingerprint: dict,
+        resume_from: str | os.PathLike | None,
+        path: str | os.PathLike | None,
     ) -> tuple[CheckpointWriter | None, set[tuple[str, str]]]:
-        """Restore a resumed run's state and open the checkpoint writer.
+        """Restore ``resume_from`` into ``report`` and open ``path``.
 
         Returns ``(writer, completed_keys)``; the writer is ``None`` when
         checkpointing is off. Restored outcomes are copied into ``report``
-        before any cell runs.
+        before any cell runs. Resuming from ``path`` itself appends to it.
         """
         completed: set[tuple[str, str]] = set()
         state = None
-        if self.resume_from is not None:
-            state = load_checkpoint(self.resume_from)
+        if resume_from is not None:
+            state = load_checkpoint(resume_from)
             state.validate_fingerprint(fingerprint)
             report.results.update(state.results)
             report.failures.update(state.failures)
@@ -453,17 +458,16 @@ class BenchmarkRunner:
             _logger.info(
                 "resuming from %s: %d cells already complete "
                 "(%d results, %d failures)",
-                self.resume_from,
+                resume_from,
                 len(completed),
                 len(state.results),
                 len(state.failures),
             )
-        path = self.checkpoint_path or self.resume_from
         if path is None:
             return None, completed
         same_file = state is not None and os.path.realpath(
             str(path)
-        ) == os.path.realpath(str(self.resume_from))
+        ) == os.path.realpath(str(resume_from))
         writer = CheckpointWriter(path, fingerprint, append=same_file)
         if state is not None and not same_file:
             # Resuming into a fresh checkpoint file: re-record the
@@ -523,20 +527,30 @@ class BenchmarkRunner:
         report = RunReport()
         algorithm_names = algorithm_names or self.algorithms.names()
         dataset_names = dataset_names or self.datasets.names()
-        tracer = get_tracer()
-        if self.shard is not None:
-            return self._run_sharded(
-                report, algorithm_names, dataset_names, tracer
-            )
+        fingerprint = self.fingerprint(algorithm_names, dataset_names)
+        if self.shard is None:
+            resume_from = self.resume_from
+            path = self.checkpoint_path or self.resume_from
+        else:
+            # A directory shared by every shard; this shard appends to
+            # its own file in it, resuming implicitly if it exists.
+            directory = Path(self.checkpoint_path)
+            directory.mkdir(parents=True, exist_ok=True)
+            path = shard_checkpoint_path(directory, self.shard.index)
+            resume_from = path if path.exists() else None
         checkpoint, completed = self._open_checkpoint(
-            report, self.fingerprint(algorithm_names, dataset_names)
+            report, fingerprint, resume_from, path
         )
-        n_to_run = (
-            len(algorithm_names) * len(dataset_names) - len(completed)
-        )
-        telemetry = GridProgress(n_to_run, logger=_logger)
-        completion = self.metrics.gauge("grid_completion")
+        cells = [
+            (algorithm_name, dataset_name)
+            for dataset_name in dataset_names
+            for algorithm_name in algorithm_names
+        ]
+        tracer = get_tracer()
         workers = self._effective_workers()
+        shard_attributes = (
+            {} if self.shard is None else {"shard": str(self.shard)}
+        )
         try:
             with tracer.span(
                 "grid",
@@ -547,17 +561,17 @@ class BenchmarkRunner:
                 seed=self.seed,
                 resumed_cells=len(completed),
                 workers=workers,
+                **shard_attributes,
             ) as grid_span:
-                if workers > 1:
-                    self._run_parallel(
-                        report, algorithm_names, dataset_names, completed,
-                        tracer, grid_span, telemetry, checkpoint,
-                        completion, workers,
+                if self.shard is None:
+                    self._run_pending(
+                        report, cells, completed, checkpoint,
+                        tracer, grid_span, workers,
                     )
                 else:
-                    self._run_serial(
-                        report, algorithm_names, dataset_names, completed,
-                        tracer, telemetry, checkpoint, completion,
+                    self._run_shard(
+                        report, cells, completed, checkpoint, path,
+                        fingerprint, tracer, grid_span, workers,
                     )
         finally:
             if checkpoint is not None:
@@ -577,137 +591,113 @@ class BenchmarkRunner:
             return 1
         return self.workers
 
-    def _run_serial(
+    def _run_pending(
         self,
         report: RunReport,
-        algorithm_names: list[str],
-        dataset_names: list[str],
+        cells: list[tuple[str, str]],
         completed: set[tuple[str, str]],
-        tracer,
-        telemetry: GridProgress,
         checkpoint: CheckpointWriter | None,
-        completion,
-    ) -> None:
-        """The historical in-process grid loop."""
-        for dataset_name in dataset_names:
-            remaining = [
-                name
-                for name in algorithm_names
-                if (name, dataset_name) not in completed
-            ]
-            if not remaining:
-                continue
-            dataset = self._load_dataset(
-                dataset_name, remaining, report,
-                tracer, telemetry, checkpoint,
-            )
-            if dataset is None:
-                completion.set(telemetry.fraction_done)
-                continue
-            self._commit_dataset(report, dataset_name, dataset, checkpoint)
-            for algorithm_name in remaining:
-                self._run_cell(
-                    report, algorithm_name, dataset_name, dataset,
-                    tracer, telemetry, checkpoint,
-                )
-                completion.set(telemetry.fraction_done)
-
-    def _run_parallel(
-        self,
-        report: RunReport,
-        algorithm_names: list[str],
-        dataset_names: list[str],
-        completed: set[tuple[str, str]],
         tracer,
         grid_span,
-        telemetry: GridProgress,
-        checkpoint: CheckpointWriter | None,
-        completion,
         workers: int,
     ) -> None:
-        """Fan cells out to a fork pool, merge in canonical grid order.
+        """Plain plan: every pending cell, committed in canonical order.
 
-        Datasets load in the parent (workers inherit them by fork, so
-        each is loaded exactly once); every pending cell is submitted up
-        front; outcomes are committed dataset-major in registry algorithm
-        order with all checkpoint/report writes deferred to this merge
-        loop — producing byte-identical artifacts to a serial run. A
-        broken pool (hard worker death) degrades the affected cells to
-        in-parent serial execution.
+        Submission order is the schedule: the fork pool starts cells in
+        the order they were submitted, so handing it the LPT order puts
+        the expensive cells first. Commits still walk the canonical grid,
+        so artifacts cannot observe the schedule.
+        """
+        pending = [key for key in cells if key not in completed]
+        datasets, load_failures = self._load_datasets(
+            [dataset_name for _, dataset_name in pending], tracer
+        )
+        estimates: dict[tuple[str, str], CellEstimate] = {}
+        submit_order = None
+        if workers > 1:
+            runnable = [key for key in pending if key[1] in datasets]
+            estimates = self._cell_estimates(runnable, datasets)
+            submit_order = self._dispatch_order(runnable, estimates)
+            grid_span.add_event(
+                "sched_plan",
+                scheduler=self.scheduler,
+                n_cells=len(runnable),
+                workers=workers,
+                estimated_total_seconds=sum(
+                    est.seconds for est in estimates.values()
+                ),
+            )
+        self._run_cells(
+            pending, submit_order, datasets, load_failures, estimates,
+            report, checkpoint, GridProgress(len(pending), logger=_logger),
+            tracer, grid_span, workers, announced=set(),
+        )
+
+    def _run_cells(
+        self,
+        cells: list[tuple[str, str]],
+        submit_order: list[tuple[str, str]] | None,
+        datasets: dict[str, TimeSeriesDataset],
+        load_failures: dict[str, tuple[str, str, int]],
+        estimates: dict[tuple[str, str], CellEstimate],
+        report: RunReport,
+        checkpoint: CheckpointWriter | None,
+        telemetry: GridProgress,
+        tracer,
+        grid_span,
+        workers: int,
+        announced: set[str],
+        stolen: bool = False,
+    ) -> None:
+        """The one cell loop: execute ``cells`` and commit them in order.
+
+        With ``workers > 1`` and more than one loaded cell, every loaded
+        cell is submitted up front to a fork pool (in ``submit_order``,
+        default ``cells``); otherwise each cell runs inline in the parent
+        at its commit slot, under SIGALRM. Either way the report entries,
+        checkpoint lines, counters and progress lines are written here,
+        in ``cells`` order — so how cells ran never shows in artifacts.
+        A dataset's categories are announced at its first committed cell
+        unless already in ``announced`` (which the loop extends). A
+        broken pool (hard worker death) re-runs the cell in the parent.
         """
         global _WORKER_STATE
-        datasets: dict[str, TimeSeriesDataset] = {}
-        load_failures: dict[str, tuple[str, str, int]] = {}
-        grid: list[tuple[str, list[str]]] = []
-        for dataset_name in dataset_names:
-            remaining = [
-                name
-                for name in algorithm_names
-                if (name, dataset_name) not in completed
-            ]
-            if not remaining:
-                continue
-            grid.append((dataset_name, remaining))
-            dataset, reason, kind, attempt = self._load_with_retries(
-                dataset_name, tracer
-            )
-            if dataset is None:
-                assert reason is not None and kind is not None
-                load_failures[dataset_name] = (reason, kind, attempt)
-            else:
-                datasets[dataset_name] = dataset
-        pending = [
-            (algorithm_name, dataset_name)
-            for dataset_name, remaining in grid
-            if dataset_name in datasets
-            for algorithm_name in remaining
+        poolable = [
+            key for key in submit_order or cells if key[1] in datasets
         ]
-        # Submission order is the schedule: the fork pool starts cells in
-        # the order they were submitted, so handing it the LPT order puts
-        # the expensive cells first. The commit loop below still walks the
-        # canonical grid — artifacts cannot observe the schedule.
-        estimates = self._cell_estimates(pending, datasets)
-        if self.scheduler == "lpt":
-            submit_order = lpt_order(
-                pending,
-                {key: est.seconds for key, est in estimates.items()},
+        executor = None
+        futures: dict[tuple[str, str], Any] = {}
+        if workers > 1 and len(poolable) > 1:
+            _WORKER_STATE = {"runner": self, "datasets": datasets}
+            executor = ProcessPoolExecutor(
+                max_workers=min(workers, len(poolable)),
+                mp_context=multiprocessing.get_context("fork"),
             )
-        else:
-            submit_order = list(pending)
-        grid_span.add_event(
-            "sched_plan",
-            scheduler=self.scheduler,
-            n_cells=len(pending),
-            workers=workers,
-            estimated_total_seconds=sum(
-                est.seconds for est in estimates.values()
-            ),
-        )
-        _WORKER_STATE = {"runner": self, "datasets": datasets}
-        executor = ProcessPoolExecutor(
-            max_workers=min(workers, max(len(pending), 1)),
-            mp_context=multiprocessing.get_context("fork"),
-        )
-        try:
             futures = {
                 key: executor.submit(_evaluate_cell_worker, key)
-                for key in submit_order
+                for key in poolable
             }
-            for dataset_name, remaining in grid:
+        completion = self.metrics.gauge("grid_completion")
+        try:
+            for key in cells:
+                algorithm_name, dataset_name = key
                 if dataset_name in load_failures:
-                    reason, kind, attempt = load_failures[dataset_name]
                     self._commit_load_failure(
-                        report, remaining, dataset_name, reason, kind,
-                        attempt, telemetry, checkpoint,
+                        report, algorithm_name, dataset_name,
+                        *load_failures[dataset_name], telemetry, checkpoint,
                     )
                     completion.set(telemetry.fraction_done)
                     continue
                 dataset = datasets[dataset_name]
-                self._commit_dataset(
-                    report, dataset_name, dataset, checkpoint
-                )
-                for algorithm_name in remaining:
-                    key = (algorithm_name, dataset_name)
+                if dataset_name not in announced:
+                    announced.add(dataset_name)
+                    self._commit_dataset(
+                        report, dataset_name, dataset, checkpoint
+                    )
+                self.metrics.counter("cells_total").inc()
+                telemetry.started(algorithm_name, dataset_name)
+                span_records: list[dict[str, Any]] = []
+                if key in futures:
                     try:
                         outcome, span_records = futures[key].result()
                     except (BrokenProcessPool, OSError) as error:
@@ -716,24 +706,26 @@ class BenchmarkRunner:
                             "re-running the cell in the parent",
                             algorithm_name, dataset_name, error,
                         )
-                        span_records = []
                         outcome = self._execute_cell(
                             algorithm_name, dataset_name, dataset, tracer
                         )
-                    if span_records and isinstance(tracer, Tracer):
-                        tracer.adopt_spans(
-                            span_records, parent_id=grid_span.span_id
-                        )
-                    self._commit_outcome(
-                        report, outcome, telemetry, checkpoint
+                else:
+                    outcome = self._execute_cell(
+                        algorithm_name, dataset_name, dataset, tracer
                     )
-                    self._record_sched(
-                        grid_span, outcome, estimates.get(key)
+                if span_records and isinstance(tracer, Tracer):
+                    tracer.adopt_spans(
+                        span_records, parent_id=grid_span.span_id
                     )
-                    completion.set(telemetry.fraction_done)
+                self._commit_outcome(report, outcome, telemetry, checkpoint)
+                self._record_sched(
+                    grid_span, outcome, estimates.get(key), stolen=stolen
+                )
+                completion.set(telemetry.fraction_done)
         finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-            _WORKER_STATE = None
+            if executor is not None:
+                executor.shutdown(wait=False, cancel_futures=True)
+                _WORKER_STATE = None
 
     def _commit_dataset(
         self,
@@ -753,31 +745,27 @@ class BenchmarkRunner:
                 dataset.frequency_seconds,
             )
 
-    def _load_dataset(
-        self,
-        dataset_name: str,
-        algorithm_names: list[str],
-        report: RunReport,
-        tracer,
-        telemetry: GridProgress,
-        checkpoint: CheckpointWriter | None,
-    ) -> TimeSeriesDataset | None:
-        """Load a dataset under crash isolation and the retry policy.
+    def _load_datasets(self, dataset_names: list[str], tracer) -> tuple[
+        dict[str, TimeSeriesDataset], dict[str, tuple[str, str, int]]
+    ]:
+        """Load each named dataset once: ``(datasets, load_failures)``.
 
-        A terminal failure (corrupt file, missing generator, retry
-        exhaustion) records one failure per remaining cell of the dataset
-        — the grid keeps going — and returns ``None``.
+        ``load_failures`` maps a dataset that failed terminally to its
+        ``(reason, kind, attempts)``; the cell loop commits one failure
+        per cell of it, and the grid keeps going.
         """
-        dataset, reason, kind, attempt = self._load_with_retries(
-            dataset_name, tracer
-        )
-        if dataset is None:
-            assert reason is not None and kind is not None
-            self._commit_load_failure(
-                report, algorithm_names, dataset_name, reason, kind,
-                attempt, telemetry, checkpoint,
+        datasets: dict[str, TimeSeriesDataset] = {}
+        load_failures: dict[str, tuple[str, str, int]] = {}
+        for dataset_name in dict.fromkeys(dataset_names):
+            dataset, reason, kind, attempt = self._load_with_retries(
+                dataset_name, tracer
             )
-        return dataset
+            if dataset is None:
+                assert reason is not None and kind is not None
+                load_failures[dataset_name] = (reason, kind, attempt)
+            else:
+                datasets[dataset_name] = dataset
+        return datasets, load_failures
 
     def _load_with_retries(
         self, dataset_name: str, tracer
@@ -785,8 +773,8 @@ class BenchmarkRunner:
         """The load attempt loop: ``(dataset, reason, kind, attempts)``.
 
         Span-side recording only — terminal-failure bookkeeping (report,
-        checkpoint, telemetry) is the caller's job, so parallel runs can
-        defer it to the canonical-order merge.
+        checkpoint, telemetry) happens at the dataset's cells' commit
+        slots in the cell loop.
         """
         policy = self.retry_policy
         attempt = 0
@@ -834,7 +822,7 @@ class BenchmarkRunner:
     def _commit_load_failure(
         self,
         report: RunReport,
-        algorithm_names: list[str],
+        algorithm_name: str,
         dataset_name: str,
         reason: str,
         kind: str,
@@ -842,49 +830,18 @@ class BenchmarkRunner:
         telemetry: GridProgress,
         checkpoint: CheckpointWriter | None,
     ) -> None:
-        """Record one failure per cell of a dataset that failed to load."""
+        """Record the failure of a cell whose dataset failed to load."""
         cell_reason = f"dataset load failed: {reason}"
-        for algorithm_name in algorithm_names:
-            self.metrics.counter("cells_total").inc()
-            self.metrics.counter("cells_failed").inc()
-            report.failures[(algorithm_name, dataset_name)] = cell_reason
-            if checkpoint is not None:
-                checkpoint.write_failure(
-                    algorithm_name, dataset_name,
-                    cell_reason, kind, attempt,
-                )
-            telemetry.failed(
-                algorithm_name, dataset_name, 0.0, cell_reason
-            )
-            self.progress(
-                f"{algorithm_name} on {dataset_name}: "
-                f"FAILED ({cell_reason})"
-            )
-
-    def _run_cell(
-        self,
-        report: RunReport,
-        algorithm_name: str,
-        dataset_name: str,
-        dataset: TimeSeriesDataset,
-        tracer,
-        telemetry: GridProgress,
-        checkpoint: CheckpointWriter | None = None,
-    ) -> None:
-        """One (algorithm, dataset) pair: evaluate, record, report.
-
-        Crash-isolated: any exception (not just ``ReproError``) is
-        caught, classified, and recorded as a failure; transient failures
-        are retried under the runner's :class:`RetryPolicy`; the grid
-        never aborts because of one bad cell.
-        """
         self.metrics.counter("cells_total").inc()
-        telemetry.started(algorithm_name, dataset_name)
-        outcome = self._execute_cell(
-            algorithm_name, dataset_name, dataset, tracer
-        )
-        self._commit_outcome(
-            report, outcome, telemetry, checkpoint, announce=False
+        self.metrics.counter("cells_failed").inc()
+        report.failures[(algorithm_name, dataset_name)] = cell_reason
+        if checkpoint is not None:
+            checkpoint.write_failure(
+                algorithm_name, dataset_name, cell_reason, kind, attempt,
+            )
+        telemetry.failed(algorithm_name, dataset_name, 0.0, cell_reason)
+        self.progress(
+            f"{algorithm_name} on {dataset_name}: FAILED ({cell_reason})"
         )
 
     def _execute_cell(
@@ -894,14 +851,14 @@ class BenchmarkRunner:
         dataset: TimeSeriesDataset,
         tracer,
     ) -> _CellOutcome:
-        """The cell attempt loop, shared by serial mode and pool workers.
+        """The cell attempt loop, run in the parent or a pool worker.
 
         Runs fault injection, the paper's kill rule, and the retry policy
         inside a ``cell`` span, recording attempt events and terminal
         status on the span. Everything observable outside the span — the
         report entry, checkpoint line, metrics, telemetry — is described
-        by the returned :class:`_CellOutcome` and committed by the
-        caller, so parallel runs commit in canonical order.
+        by the returned :class:`_CellOutcome` and committed by the cell
+        loop, so parallel runs commit in the plan's order.
         """
         info = self.algorithms.get(algorithm_name)
         policy = self.retry_policy
@@ -1017,13 +974,9 @@ class BenchmarkRunner:
         outcome: _CellOutcome,
         telemetry: GridProgress,
         checkpoint: CheckpointWriter | None,
-        announce: bool = True,
     ) -> None:
         """Record a cell outcome everywhere it must appear (parent only)."""
         algorithm_name, dataset_name = outcome.algorithm, outcome.dataset
-        if announce:
-            self.metrics.counter("cells_total").inc()
-            telemetry.started(algorithm_name, dataset_name)
         # Feed the measurement back so later estimates for this cell (and
         # this algorithm's calibration factor) come from reality.
         self.cost_model.record(
@@ -1100,6 +1053,18 @@ class BenchmarkRunner:
             )
         return estimates
 
+    def _dispatch_order(
+        self,
+        cells: list[tuple[str, str]],
+        estimates: dict[tuple[str, str], CellEstimate],
+    ) -> list[tuple[str, str]]:
+        """``cells`` (canonical order) in the scheduler's dispatch order."""
+        if self.scheduler != "lpt":
+            return list(cells)
+        return lpt_order(
+            cells, {key: estimates[key].seconds for key in cells}
+        )
+
     def _record_sched(
         self,
         grid_span,
@@ -1136,110 +1101,35 @@ class BenchmarkRunner:
             stolen=stolen,
         )
 
-    def _run_sharded(
+    def _run_shard(
         self,
         report: RunReport,
-        algorithm_names: list[str],
-        dataset_names: list[str],
+        cells: list[tuple[str, str]],
+        completed: set[tuple[str, str]],
+        checkpoint: CheckpointWriter,
+        own_path: Path,
+        fingerprint: dict,
         tracer,
-    ) -> RunReport:
-        """Run this shard's cost-balanced bin of the grid, then steal.
+        grid_span,
+        workers: int,
+    ) -> None:
+        """Shard plan: run this shard's cost-balanced bin, then steal.
 
-        ``checkpoint_path`` is a directory shared by every shard; this
-        shard appends to ``shard-<i>.jsonl`` in it (resuming implicitly
-        if the file exists) and coordinates with siblings purely through
-        atomic claim files — no locks, no coordinator. The returned
-        report covers this shard's cells only; ``etsc-bench
+        Shards coordinate purely through atomic claim files next to
+        their checkpoints — no locks, no coordinator. Cells commit in
+        dispatch order (the shard file is not canonical); ``etsc-bench
         merge-checkpoints`` rebuilds the canonical single artifact.
         """
         shard = self.shard
         assert shard is not None
-        directory = Path(self.checkpoint_path)
-        directory.mkdir(parents=True, exist_ok=True)
-        fingerprint = self.fingerprint(algorithm_names, dataset_names)
-        own_path = shard_checkpoint_path(directory, shard.index)
-        completed: set[tuple[str, str]] = set()
-        append = own_path.exists()
-        if append:
-            state = load_checkpoint(own_path)
-            state.validate_fingerprint(fingerprint)
-            report.results.update(state.results)
-            report.failures.update(state.failures)
-            report.categories.update(state.categories)
-            report._frequencies.update(state.frequencies)
-            completed = state.completed_keys()
-            self._seed_cost_model(state)
-            _logger.info(
-                "shard %s resuming from %s: %d cells already complete",
-                shard, own_path, len(completed),
-            )
-        claims = ClaimBoard(claims_directory(directory), shard.owner)
-        checkpoint = CheckpointWriter(own_path, fingerprint, append=append)
-        all_cells = [
-            (algorithm_name, dataset_name)
-            for dataset_name in dataset_names
-            for algorithm_name in algorithm_names
-        ]
-        telemetry = GridProgress(len(all_cells), logger=_logger)
-        completion = self.metrics.gauge("grid_completion")
-        workers = self._effective_workers()
-        try:
-            with tracer.span(
-                "grid",
-                n_algorithms=len(algorithm_names),
-                n_datasets=len(dataset_names),
-                n_folds=self.n_folds,
-                time_budget_seconds=self.time_budget_seconds,
-                seed=self.seed,
-                resumed_cells=len(completed),
-                workers=workers,
-                shard=str(shard),
-            ) as grid_span:
-                self._run_shard_grid(
-                    report, all_cells, dataset_names, completed,
-                    directory, own_path, fingerprint, claims, checkpoint,
-                    telemetry, completion, tracer, grid_span, workers,
-                    shard,
-                )
-        finally:
-            checkpoint.close()
-        return report
-
-    def _run_shard_grid(
-        self,
-        report: RunReport,
-        all_cells: list[tuple[str, str]],
-        dataset_names: list[str],
-        completed: set[tuple[str, str]],
-        directory: Path,
-        own_path: Path,
-        fingerprint: dict,
-        claims: ClaimBoard,
-        checkpoint: CheckpointWriter,
-        telemetry: GridProgress,
-        completion,
-        tracer,
-        grid_span,
-        workers: int,
-        shard: ShardSpec,
-    ) -> None:
-        """Shard body: load, partition, run own bin, steal the rest."""
+        claims = ClaimBoard(claims_directory(own_path.parent), shard.owner)
         # Load every dataset once: any bin's cells may execute here
         # (stealing), and the partition heuristic needs the shapes.
-        datasets: dict[str, TimeSeriesDataset] = {}
-        load_failures: dict[str, tuple[str, str, int]] = {}
-        for dataset_name in dataset_names:
-            dataset, reason, kind, attempt = self._load_with_retries(
-                dataset_name, tracer
-            )
-            if dataset is None:
-                assert reason is not None and kind is not None
-                load_failures[dataset_name] = (reason, kind, attempt)
-            else:
-                datasets[dataset_name] = dataset
-                self.cost_model.attach_shape(
-                    dataset_name, dataset.values.shape
-                )
+        datasets, load_failures = self._load_datasets(
+            [dataset_name for _, dataset_name in cells], tracer
+        )
+        for dataset_name, dataset in datasets.items():
+            self.cost_model.attach_shape(dataset_name, dataset.values.shape)
         # Partition on the *pure heuristic* over the full grid — never
         # on recorded history — so every shard, whatever it has resumed
         # or measured, derives identical bins. (Should shards still
@@ -1253,18 +1143,17 @@ class BenchmarkRunner:
                 else None,
                 self.algorithms.get(algorithm_name).category,
             )
-            for algorithm_name, dataset_name in all_cells
+            for algorithm_name, dataset_name in cells
         }
-        bins = partition_cells(all_cells, heuristics, shard.count)
+        bins = partition_cells(cells, heuristics, shard.count)
         own_bin = bins[shard.index]
         own_set = set(own_bin)
         # Dispatch order within the shard may use the full cost model
         # (history-calibrated); only the partition must stay history-free.
-        estimates = self._cell_estimates(all_cells, datasets)
-        seconds = {key: est.seconds for key, est in estimates.items()}
-        runnable = [key for key in own_bin if key not in completed]
-        if self.scheduler == "lpt":
-            runnable = lpt_order(runnable, seconds)
+        estimates = self._cell_estimates(cells, datasets)
+        runnable = self._dispatch_order(
+            [key for key in own_bin if key not in completed], estimates
+        )
         claimed = [key for key in runnable if claims.claim(*key)]
         grid_span.add_event(
             "sched_plan",
@@ -1273,35 +1162,39 @@ class BenchmarkRunner:
             workers=workers,
             shard=str(shard),
             bin_cells=len(own_bin),
-            estimated_total_seconds=sum(seconds[key] for key in claimed),
+            estimated_total_seconds=sum(
+                estimates[key].seconds for key in claimed
+            ),
         )
         if len(claimed) < len(runnable):
             _logger.info(
                 "shard %s: %d own-bin cells already claimed by siblings",
                 shard, len(runnable) - len(claimed),
             )
-        self._execute_claimed(
-            claimed, datasets, load_failures, estimates, report,
-            checkpoint, telemetry, completion, tracer, grid_span,
-            workers, stolen=False,
+        # Progress counts only the cells this shard commits; the steal
+        # phase grows the total before it runs.
+        telemetry = GridProgress(len(claimed), logger=_logger)
+        announced = set(report.categories)
+        self._run_cells(
+            claimed, None, datasets, load_failures, estimates, report,
+            checkpoint, telemetry, tracer, grid_span, workers, announced,
         )
         if not self.shard_steal:
             return
         # Steal phase: everything outside our bin that nobody has
         # completed or claimed, longest first — the point of stealing is
         # to absorb a straggler sibling's expensive tail.
-        sibling_done = self._sibling_completed(
-            directory, own_path, fingerprint
+        sibling_done = self._sibling_completed(own_path, fingerprint)
+        candidates = self._dispatch_order(
+            [
+                key
+                for key in cells
+                if key not in own_set
+                and key not in completed
+                and key not in sibling_done
+            ],
+            estimates,
         )
-        candidates = [
-            key
-            for key in all_cells
-            if key not in own_set
-            and key not in completed
-            and key not in sibling_done
-        ]
-        if self.scheduler == "lpt":
-            candidates = lpt_order(candidates, seconds)
         stolen = [
             key
             for key in candidates
@@ -1315,18 +1208,19 @@ class BenchmarkRunner:
             _logger.info(
                 "shard %s stealing %d unclaimed cells", shard, len(stolen)
             )
-        self._execute_claimed(
-            stolen, datasets, load_failures, estimates, report,
-            checkpoint, telemetry, completion, tracer, grid_span,
-            workers, stolen=True,
+        telemetry.total_cells = max(len(claimed) + len(stolen), 1)
+        self._run_cells(
+            stolen, None, datasets, load_failures, estimates, report,
+            checkpoint, telemetry, tracer, grid_span, workers, announced,
+            stolen=True,
         )
 
     def _sibling_completed(
-        self, directory: Path, own_path: Path, fingerprint: dict
+        self, own_path: Path, fingerprint: dict
     ) -> set[tuple[str, str]]:
         """Cells sibling shard checkpoints already have outcomes for."""
         done: set[tuple[str, str]] = set()
-        for path in find_shard_checkpoints(directory):
+        for path in find_shard_checkpoints(own_path.parent):
             if path == own_path:
                 continue
             try:
@@ -1339,86 +1233,3 @@ class BenchmarkRunner:
                 continue
             done |= state.completed_keys()
         return done
-
-    def _execute_claimed(
-        self,
-        keys: list[tuple[str, str]],
-        datasets: dict[str, TimeSeriesDataset],
-        load_failures: dict[str, tuple[str, str, int]],
-        estimates: dict[tuple[str, str], CellEstimate],
-        report: RunReport,
-        checkpoint: CheckpointWriter,
-        telemetry: GridProgress,
-        completion,
-        tracer,
-        grid_span,
-        workers: int,
-        stolen: bool,
-    ) -> None:
-        """Run a batch of claimed cells (pool when ``workers > 1``).
-
-        Cells commit in the batch's dispatch order — the per-shard file
-        is not canonical; the merge step rebuilds canonical order.
-        Datasets announce lazily, once each, on first committed cell.
-        """
-        global _WORKER_STATE
-        poolable = [key for key in keys if key[1] in datasets]
-        executor = None
-        futures: dict[tuple[str, str], Any] = {}
-        if workers > 1 and len(poolable) > 1:
-            _WORKER_STATE = {"runner": self, "datasets": datasets}
-            executor = ProcessPoolExecutor(
-                max_workers=min(workers, len(poolable)),
-                mp_context=multiprocessing.get_context("fork"),
-            )
-            futures = {
-                key: executor.submit(_evaluate_cell_worker, key)
-                for key in poolable
-            }
-        try:
-            for key in keys:
-                algorithm_name, dataset_name = key
-                if dataset_name in load_failures:
-                    reason, kind, attempt = load_failures[dataset_name]
-                    self._commit_load_failure(
-                        report, [algorithm_name], dataset_name, reason,
-                        kind, attempt, telemetry, checkpoint,
-                    )
-                    completion.set(telemetry.fraction_done)
-                    continue
-                dataset = datasets[dataset_name]
-                if dataset_name not in report.categories:
-                    self._commit_dataset(
-                        report, dataset_name, dataset, checkpoint
-                    )
-                span_records: list[dict[str, Any]] = []
-                if key in futures:
-                    try:
-                        outcome, span_records = futures[key].result()
-                    except (BrokenProcessPool, OSError) as error:
-                        _logger.warning(
-                            "%s on %s: worker pool broke (%s); "
-                            "re-running the cell in the parent",
-                            algorithm_name, dataset_name, error,
-                        )
-                        span_records = []
-                        outcome = self._execute_cell(
-                            algorithm_name, dataset_name, dataset, tracer
-                        )
-                else:
-                    outcome = self._execute_cell(
-                        algorithm_name, dataset_name, dataset, tracer
-                    )
-                if span_records and isinstance(tracer, Tracer):
-                    tracer.adopt_spans(
-                        span_records, parent_id=grid_span.span_id
-                    )
-                self._commit_outcome(report, outcome, telemetry, checkpoint)
-                self._record_sched(
-                    grid_span, outcome, estimates.get(key), stolen=stolen
-                )
-                completion.set(telemetry.fraction_done)
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
-                _WORKER_STATE = None

@@ -43,7 +43,11 @@ from ..serve.breaker import CircuitBreaker
 from ..serve.guard import InputGuard
 from ..serve.session import GuardedStreamingSession
 from ..slo.clock import VirtualClock
-from ..slo.harness import SimulatedClassifier, derive_seed
+from ..slo.harness import (
+    SimulatedClassifier,
+    bundle_corruptors,
+    derive_seed,
+)
 from ..slo.scenario import Scenario
 
 __all__ = [
@@ -115,6 +119,7 @@ class ShardRuntime:
         self.index = index
         self.clock = VirtualClock()
         self.fault_plan = scenario.fault_plan()
+        self.corruptors = bundle_corruptors(scenario, bundles)
         self._events: list[tuple[float, int, int]] = []  # heap
         self._streams: dict[int, _ShardStream] = {}
         self.first_arrival: float | None = None
@@ -211,6 +216,7 @@ class ShardRuntime:
             deadline_seconds=scenario.deadline_seconds,
             breaker=breaker,
             fault_injector=self.fault_plan,
+            corruptor=self.corruptors[(spec.algorithm, spec.dataset)],
             stream_name=name,
             algorithm_name=spec.algorithm,
             metrics=metrics,

@@ -56,6 +56,7 @@ from .scenario import CLOCK_VIRTUAL, Scenario
 __all__ = [
     "run_scenario",
     "derive_seed",
+    "bundle_corruptors",
     "SimulatedClassifier",
     "ScenarioBundle",
     "train_scenario_bundles",
@@ -67,10 +68,6 @@ def derive_seed(*parts) -> int:
     the hash() pitfall PR 2 fixed must not come back here)."""
     key = ":".join(str(part) for part in parts).encode("utf-8")
     return zlib.crc32(key)
-
-
-# Historical private alias (kept for older call sites/tests).
-_derive_seed = derive_seed
 
 
 class SimulatedClassifier:
@@ -102,7 +99,22 @@ class SimulatedClassifier:
         return getattr(self._inner, name)
 
 
-_SimulatedClassifier = SimulatedClassifier
+def bundle_corruptors(scenario: Scenario, bundles: dict) -> dict:
+    """One push-time corruptor per trained pair, keyed like ``bundles``.
+
+    Additive noise is referenced to each pair's train-time channel std,
+    so scenario severities mean the same thing as in the offline
+    robustness grid. Values are ``None`` when the scenario declares no
+    (or only severity-0) corruption.
+    """
+    return {
+        key: scenario.corruptor(
+            noise_scale=float(
+                np.mean([channel.std for channel in bundle.stats.channels])
+            )
+        )
+        for key, bundle in bundles.items()
+    }
 
 
 @dataclass
@@ -247,18 +259,7 @@ def run_scenario(
 
         return observe
 
-    # One corruptor per trained pair: additive noise is referenced to
-    # that pair's train-time channel std, so scenario severities mean
-    # the same thing as in the offline robustness grid. None when the
-    # scenario declares no (or only severity-0) corruption.
-    corruptors: dict[tuple[str, str], object] = {
-        key: scenario.corruptor(
-            noise_scale=float(
-                np.mean([channel.std for channel in bundle.stats.channels])
-            )
-        )
-        for key, bundle in bundles.items()
-    }
+    corruptors = bundle_corruptors(scenario, bundles)
 
     global_index = 0
     for spec in scenario.streams:
@@ -275,7 +276,7 @@ def run_scenario(
             length = test.values.shape[2]
             arrivals = scenario.arrival.generate(
                 length,
-                seed=_derive_seed(scenario.seed, global_index, "arrival"),
+                seed=derive_seed(scenario.seed, global_index, "arrival"),
                 start=global_index * scenario.stagger_ms / 1000.0,
             )
             breaker = None
@@ -288,13 +289,13 @@ def run_scenario(
                 )
             serving_classifier = classifier
             if virtual:
-                serving_classifier = _SimulatedClassifier(
+                serving_classifier = SimulatedClassifier(
                     classifier,
                     clock,
                     scenario.service,
                     np.random.default_rng(
                         np.random.SeedSequence(
-                            _derive_seed(scenario.seed, global_index, "service")
+                            derive_seed(scenario.seed, global_index, "service")
                         )
                     ),
                 )

@@ -31,10 +31,6 @@ from ..data.dataset import TimeSeriesDataset
 from ..exceptions import DataError, NotFittedError
 from .backends import KernelBackend, get_backend
 
-# Backward-compatible aliases: the batched kernel now lives with the
-# numpy backend implementation.
-from .backends.numpy_backend import _band_limits, _dtw_batch  # noqa: F401
-
 __all__ = ["dtw_distance", "dtw_distance_matrix", "DTWClassifier"]
 
 

@@ -300,25 +300,46 @@ class TestCliFlags:
 
 
 class TestSchedTelemetry:
-    def test_rollup_matches_live_counters(self, frozen_clock):  # noqa: F811
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            pytest.param({"workers": 1}, id="serial"),
+            pytest.param({"workers": 2}, id="workers2"),
+            pytest.param({"shard": "0/2"}, id="shard0of2"),
+        ],
+    )
+    def test_rollup_matches_live_counters(
+        self, mode, tmp_path, frozen_clock  # noqa: F811
+    ):
         from repro.core import BenchmarkRunner
 
         algorithms, datasets = _registries()
         tracer = Tracer()
         runner = BenchmarkRunner(
-            algorithms, datasets, n_folds=2, seed=0, workers=2
+            algorithms, datasets, n_folds=2, seed=0,
+            checkpoint_path=tmp_path / "checkpoint", **mode,
         )
         with use_tracer(tracer):
             runner.run()
         live = runner.metrics.snapshot()
         rollup = metrics_from_spans(tracer.finished_spans()).snapshot()
-        assert live["sched.cells_scheduled"] == 6  # 2 algorithms x 3 datasets
+        shared = set(live) & set(rollup)
+        assert "cells_completed" in shared
+        for name in shared:
+            assert rollup[name] == live[name], name
+        sched = {
+            name
+            for name in set(live) | set(rollup)
+            if name.startswith("sched.")
+        }
+        if mode.get("workers") == 1:
+            assert not sched
+            return
+        # 2 algorithms x 3 datasets; the lone shard steals its sibling's.
+        assert live["sched.cells_scheduled"] == 6
         assert rollup["sched.cells_scheduled"] == 6
         assert rollup.get("sched.steals", 0) == live.get("sched.steals", 0)
-        assert (
-            rollup["sched.estimate_error_pct"]
-            == live["sched.estimate_error_pct"]
-        )
+        assert "sched.estimate_error_pct" in shared
 
     def test_grid_span_carries_sched_plan(self, frozen_clock):  # noqa: F811
         from repro.core import BenchmarkRunner

@@ -216,6 +216,19 @@ class TestShardFaultsAndResume:
         assert report_bytes == serial_report
         assert checkpoint_bytes == serial_checkpoint
 
+    @pytest.mark.parametrize("rerun_with_steal", [False, True])
+    def test_completion_gauge_reaches_one(
+        self, tmp_path, rerun_with_steal, frozen_clock  # noqa: F811
+    ):
+        # Progress counts the cells this shard commits, not the grid:
+        # a no-steal shard finishing its bin is done, and so is a
+        # resumed shard whose only work is the cells it steals.
+        runner = _run_shard(tmp_path, "0/2", steal=False)
+        if rerun_with_steal:
+            runner = _run_shard(tmp_path, "0/2", steal=True)
+            assert runner.metrics.snapshot()["sched.steals"] > 0
+        assert runner.metrics.snapshot()["grid_completion"] == 1.0
+
     def test_shard_with_workers_matches_serial(
         self, tmp_path, frozen_clock  # noqa: F811
     ):

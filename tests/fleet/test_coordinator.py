@@ -146,6 +146,36 @@ class TestSingleShardEquivalence:
         assert ours == theirs
         assert jitter[0] == pytest.approx(jitter[1], rel=1e-12)
 
+    def test_one_shard_fleet_corrupts_like_the_harness(self):
+        # The scenario's corruption block must reach the shard sessions:
+        # same corrupted pushes, same decisions as the single server.
+        scenario = tiny_scenario(
+            corruption={"ops": ["missing_blocks:3", "additive_noise:2"]}
+        )
+        algorithms, datasets = tiny_registries()
+        base = run_scenario(scenario, algorithms=algorithms, datasets=datasets)
+        fleet = serve(
+            scenario,
+            FleetConfig(
+                n_shards=1,
+                max_active_per_shard=64,
+                admission_capacity=64,
+                tick_events=10_000,
+            ),
+        )
+        assert base.counters["serve.corrupted_points"] > 0
+        assert (
+            fleet.counters["serve.corrupted_points"]
+            == base.counters["serve.corrupted_points"]
+        )
+        assert [
+            (d.label, d.decided_at, d.confidence, d.degraded, d.source)
+            for d in fleet.decisions
+        ] == [
+            (d.label, d.decided_at, d.confidence, d.degraded, d.source)
+            for d in base.decisions
+        ]
+
 
 class TestFailover:
     def test_sigkill_loses_no_streams(self):
