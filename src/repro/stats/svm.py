@@ -39,9 +39,13 @@ def _project_box_simplex(alpha: np.ndarray, upper: float) -> np.ndarray:
     """
     low = alpha.min() - upper
     high = alpha.max()
+    clipped = np.empty_like(alpha)  # reused: np.clip allocates per step
     for _ in range(100):
         shift = 0.5 * (low + high)
-        total = np.clip(alpha - shift, 0.0, upper).sum()
+        np.subtract(alpha, shift, out=clipped)
+        np.maximum(clipped, 0.0, out=clipped)
+        np.minimum(clipped, upper, out=clipped)
+        total = clipped.sum()
         if total > 1.0:
             low = shift
         else:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import DataError, NotFittedError
-from ..stats.feature_selection import information_gain
 
 __all__ = ["fourier_coefficients", "SFATransformer"]
 
@@ -59,14 +58,43 @@ def _equi_depth_boundaries(column: np.ndarray, n_bins: int) -> np.ndarray:
     return np.quantile(column, quantiles)
 
 
+def _entropies(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Shannon entropy (bits) of each row of a class-count matrix.
+
+    Bit-identical to :func:`repro.stats.information_gain`'s per-subset
+    entropy: rows are grouped by which classes they contain, so each row
+    sums exactly the classes ``np.unique`` would report, in class order.
+    Padding with zero-count classes instead would change the grouping of
+    numpy's pairwise ``np.sum`` once more than 8 classes are present.
+    """
+    entropies = np.zeros(counts.shape[0])
+    # One opaque key per row's class-presence pattern: far cheaper to
+    # group than np.unique(axis=0) on the boolean matrix.
+    packed = np.packbits(counts > 0, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    for index, row in enumerate(first):
+        present = np.flatnonzero(counts[row])
+        if present.size == 0:
+            continue  # empty subset
+        rows = np.flatnonzero(inverse == index)
+        proportions = counts[np.ix_(rows, present)] / sizes[rows, None]
+        entropies[rows] = -np.sum(proportions * np.log2(proportions), axis=1)
+    return entropies
+
+
 def _information_gain_boundaries(
     column: np.ndarray, labels: np.ndarray, n_bins: int
 ) -> np.ndarray:
-    """Greedy recursive IG splits, as in WEASEL's binning.
+    """Information-gain boundaries, as in WEASEL's binning.
 
-    Repeatedly splits the interval containing the highest-gain candidate
-    until ``n_bins - 1`` boundaries are placed; candidates are the midpoints
-    of a value-sorted subsample.
+    Candidates are the midpoints of a value-sorted subsample. Each one is
+    scored once: its gain depends only on the column, the labels and the
+    candidate itself, never on the boundaries already placed. Taking the
+    ``n_bins - 1`` best from one stable ranking, skipping candidates
+    within 1e-12 of a chosen boundary, therefore picks exactly what a
+    greedy loop that rescores every candidate per boundary would pick,
+    ties going to the first candidate.
     """
     order = np.argsort(column, kind="stable")
     sorted_values = column[order]
@@ -80,29 +108,46 @@ def _information_gain_boundaries(
         candidates = candidates[
             np.linspace(0, candidates.size - 1, 64).astype(int)
         ]
+    # Class counts left of every candidate (values <= candidate) from one
+    # cumulative count matrix over the sorted labels. NaN values sort last
+    # and fall right of every split; a NaN candidate, the midpoint of -inf
+    # and inf, has nothing on its left.
+    classes, codes = np.unique(labels, return_inverse=True)
+    cumulative = np.zeros((column.size + 1, classes.size), dtype=np.int64)
+    cumulative[np.arange(1, column.size + 1), codes.ravel()[order]] = 1
+    np.cumsum(cumulative, axis=0, out=cumulative)
+    split_at = np.searchsorted(sorted_values, candidates, side="right")
+    split_at[np.isnan(candidates)] = 0
+    left = cumulative[split_at]
+    sizes = np.concatenate([split_at, column.size - split_at, [column.size]])
+    entropies = _entropies(
+        np.vstack([left, cumulative[-1] - left, cumulative[-1:]]), sizes
+    )
+    left_entropy, right_entropy = entropies[:-1].reshape(2, -1)
+    left_size, right_size = sizes[:-1].reshape(2, -1)
+    weighted = (
+        left_size * left_entropy + right_size * right_entropy
+    ) / column.size
+    gains = entropies[-1] - weighted
+
     boundaries: list[float] = []
-    for _ in range(n_bins - 1):
-        best_gain = -np.inf
-        best_candidate = None
-        for candidate in candidates:
-            if any(abs(candidate - b) < 1e-12 for b in boundaries):
-                continue
-            gain = information_gain(column, labels, candidate)
-            if gain > best_gain:
-                best_gain = gain
-                best_candidate = float(candidate)
-        if best_candidate is None:
+    for candidate in candidates[np.argsort(-gains, kind="stable")]:
+        if len(boundaries) == n_bins - 1:
             break
-        boundaries.append(best_candidate)
-    while len(boundaries) < n_bins - 1:
+        if any(abs(candidate - b) < 1e-12 for b in boundaries):
+            continue
+        boundaries.append(float(candidate))
+        if not np.isfinite(candidate):
+            # Never within 1e-12 of itself, so it stays the best candidate
+            # for every remaining boundary.
+            boundaries += boundaries[-1:] * (n_bins - 1 - len(boundaries))
+    if len(boundaries) < n_bins - 1:
         # Fill any remaining slots with equi-depth cuts.
-        filler = _equi_depth_boundaries(column, n_bins)
-        for value in filler:
+        for value in _equi_depth_boundaries(column, n_bins):
             if len(boundaries) >= n_bins - 1:
                 break
             if all(abs(value - b) > 1e-12 for b in boundaries):
                 boundaries.append(float(value))
-        break
     return np.sort(np.asarray(boundaries))
 
 
@@ -153,16 +198,21 @@ class SFATransformer:
         coefficients = fourier_coefficients(
             windows, self.word_length, self.drop_mean
         )
-        use_ig = self.binning == "information-gain" and labels is not None
-        if self.binning == "information-gain" and labels is None:
-            raise DataError("information-gain binning requires labels")
+        use_ig = self.binning == "information-gain"
+        if use_ig:
+            if labels is None:
+                raise DataError("information-gain binning requires labels")
+            labels = np.asarray(labels)
+            if labels.shape[:1] != coefficients.shape[:1]:
+                raise DataError(
+                    f"got {labels.size} labels for {len(coefficients)} windows"
+                )
         boundaries = np.empty((self.word_length, self.alphabet_size - 1))
         for position in range(self.word_length):
             column = coefficients[:, position]
             if use_ig:
-                assert labels is not None
                 bins = _information_gain_boundaries(
-                    column, np.asarray(labels), self.alphabet_size
+                    column, labels, self.alphabet_size
                 )
             else:
                 bins = _equi_depth_boundaries(column, self.alphabet_size)
