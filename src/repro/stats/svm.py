@@ -11,9 +11,22 @@ implements the standard nu-OC-SVM dual
 by projected gradient descent, with the simplex-with-box projection solved
 by bisection. For the small per-prefix training sets TEASER produces this is
 fast and dependable.
+
+The bisection's step decisions (``sum(clip(alpha - shift, 0, upper)) > 1``)
+are certified rather than recomputed wherever that is provable: one
+vectorised check brackets the root between two shifts beyond which every
+decision is known, and only steps inside that band run the numpy step. The
+sequence of shifts, the decisions and so ``alpha`` and ``rho`` keep the
+bits of the plain bisection (``docs/performance.md``, "One-class SVM
+projection"). ``fit`` rejects non-finite rows, which would otherwise
+bisect on NaN and leave a model that rejects every row.
 """
 
 from __future__ import annotations
+
+import bisect
+import itertools
+import math
 
 import numpy as np
 
@@ -21,6 +34,8 @@ from ..exceptions import DataError, NotFittedError
 from .distance import pairwise_squared_euclidean
 
 __all__ = ["OneClassSVM", "rbf_kernel"]
+
+_EPS = float(np.finfo(float).eps)
 
 
 def rbf_kernel(rows: np.ndarray, others: np.ndarray, gamma: float) -> np.ndarray:
@@ -30,23 +45,119 @@ def rbf_kernel(rows: np.ndarray, others: np.ndarray, gamma: float) -> np.ndarray
     return np.exp(-gamma * pairwise_squared_euclidean(rows, others))
 
 
+def _bisection_total(
+    alpha: np.ndarray, shift: float, upper: float, out: np.ndarray
+) -> float:
+    """One numpy bisection step: ``sum(clip(alpha - shift, 0, upper))``."""
+    np.subtract(alpha, shift, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, upper, out=out)
+    return out.sum()
+
+
+def _root_estimate(alpha: np.ndarray, upper: float) -> float:
+    """Approximate shift at which ``sum(clip(alpha - shift, 0, upper))`` is 1.
+
+    The total is piecewise linear and non-increasing in the shift, with
+    knots at ``a_i - upper`` and ``a_i``. Prefix sums over the sorted
+    ``alpha`` give it at any shift in ``O(log n)``, so a binary search over
+    the knots finds the segment where it crosses one and the root is
+    interpolated there. The estimate only centres the certified band, so
+    rounding here costs speed, never bits.
+    """
+    values = np.sort(alpha).tolist()
+    prefix = list(itertools.accumulate(values, initial=0.0))
+    knots = sorted([value - upper for value in values] + values)
+    n = len(values)
+
+    def total(shift: float) -> float:
+        inside = bisect.bisect_right(values, shift)
+        capped = bisect.bisect_left(values, shift + upper)
+        return (
+            (n - capped) * upper
+            + (prefix[capped] - prefix[inside])
+            - (capped - inside) * shift
+        )
+
+    # total(knots[-1]) is exactly zero: the last knot is max(alpha).
+    left, right = 0, len(knots) - 1
+    above = total(knots[left])
+    if above <= 1.0:
+        return knots[left]
+    below = 0.0
+    while right - left > 1:
+        middle = (left + right) // 2
+        value = total(knots[middle])
+        if value > 1.0:
+            left, above = middle, value
+        else:
+            right, below = middle, value
+    return knots[left] + (above - 1.0) / (above - below) * (
+        knots[right] - knots[left]
+    )
+
+
+def _certified_band(
+    alpha: np.ndarray, upper: float, low: float, high: float
+) -> tuple[float, float]:
+    """Shifts ``(s_lo, s_hi)`` beyond which every bisection decision is known.
+
+    For a shift ``s`` numpy computes ``c_i = min(max(fl(a_i - s), 0), upper)``
+    element by element and sums them. Rounding is monotone, so every
+    ``c_i`` and hence their exact sum ``S(s)`` are non-increasing in ``s``.
+    The ``c_i`` are non-negative, so a float sum in any order lies within a
+    relative ``(n - 1) * eps / 2`` (to first order) of ``S``. Evaluating the
+    same ``c_i`` at a trial shift and finding the sum above ``1 + margin``
+    therefore proves ``S`` is large enough there for numpy's total to exceed
+    one at every shift ``s <= s_lo``; below ``1 - margin`` proves it is at
+    most one for every ``s >= s_hi``. Both need ``margin`` just over
+    ``(n - 1) * eps``; it is taken four times larger plus slack. The band
+    widens geometrically around the root estimate until both sides are
+    proved or it spans the bracket. A side left unproved returns an
+    infinite bound; a non-finite bracket proves nothing.
+    """
+    s_lo, s_hi = -math.inf, math.inf
+    if not math.isfinite(high - low):
+        return s_lo, s_hi
+    guess = _root_estimate(alpha, upper)
+    margin = 4.0 * (alpha.size + 4) * _EPS
+    width = margin * (1.0 + max(abs(low), abs(high)))
+    while True:
+        trial = np.array([guess - width, guess + width])
+        totals = np.minimum(
+            np.maximum(alpha - trial[:, None], 0.0), upper
+        ).sum(axis=1)
+        if s_lo == -math.inf and totals[0] > 1.0 + margin:
+            s_lo = float(trial[0])
+        if s_hi == math.inf and totals[1] < 1.0 - margin:
+            s_hi = float(trial[1])
+        if (s_lo > -math.inf and s_hi < math.inf) or width >= high - low:
+            return s_lo, s_hi
+        width *= 16.0
+
+
 def _project_box_simplex(alpha: np.ndarray, upper: float) -> np.ndarray:
     """Project onto ``{0 <= a_i <= upper, sum(a) = 1}`` by bisection.
 
     The projection is ``clip(alpha - shift, 0, upper)`` for the unique shift
     making the coordinates sum to one; ``sum`` is monotone in the shift so
-    bisection converges quickly.
+    bisection converges quickly. Steps outside the certified band take
+    their known decision; the rest, and every step for non-finite
+    ``alpha``, run the numpy step.
     """
-    low = alpha.min() - upper
-    high = alpha.max()
-    clipped = np.empty_like(alpha)  # reused: np.clip allocates per step
+    low = float(alpha.min()) - upper
+    high = float(alpha.max())
+    s_lo, s_hi = _certified_band(alpha, upper, low, high)
+    clipped = np.empty_like(alpha)
     for _ in range(100):
         shift = 0.5 * (low + high)
-        np.subtract(alpha, shift, out=clipped)
-        np.maximum(clipped, 0.0, out=clipped)
-        np.minimum(clipped, upper, out=clipped)
-        total = clipped.sum()
-        if total > 1.0:
+        if shift < s_lo:
+            total_above_one = True
+        elif shift > s_hi:
+            total_above_one = False
+        else:
+            total_above_one = _bisection_total(alpha, shift, upper, clipped) > 1.0
+        if total_above_one:
             low = shift
         else:
             high = shift
@@ -94,6 +205,8 @@ class OneClassSVM:
         n = rows.shape[0]
         if n == 0:
             raise DataError("cannot fit OneClassSVM on zero samples")
+        if not np.isfinite(rows).all():
+            raise DataError("cannot fit OneClassSVM on non-finite rows")
         if self.gamma is None:
             variance = rows.var()
             self._gamma = 1.0 / (rows.shape[1] * variance) if variance > 0 else 1.0

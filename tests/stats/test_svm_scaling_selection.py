@@ -77,6 +77,13 @@ class TestOneClassSVM:
         with pytest.raises(NotFittedError):
             OneClassSVM().predict(np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        rows = np.ones((4, 3))
+        rows[2, 1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            OneClassSVM().fit(rows)
+
 
 class TestStandardScaler:
     def test_zero_mean_unit_variance(self, rng):

@@ -5,11 +5,17 @@ column. The reference below is the greedy loop it replaced: it rescores
 every candidate with :func:`repro.stats.information_gain` for each boundary
 it places. Both must return the same float64 bits, ties included, so the
 WEASEL-family grid reproduces its outputs exactly.
+
+``_project_box_simplex`` takes each bisection decision it can prove without
+numpy; ``project_with_clip`` runs every step in numpy. Both must return the
+same bits, so TEASER's one-class SVM filters are unchanged.
 """
 
 import numpy as np
 import pytest
 
+from repro.data import train_test_split
+from repro.etsc import TEASER
 from repro.exceptions import DataError
 from repro.stats import information_gain
 from repro.stats import svm
@@ -18,6 +24,7 @@ from repro.transform.sfa import (
     _equi_depth_boundaries,
     _information_gain_boundaries,
 )
+from tests.conftest import make_sinusoid_dataset
 
 
 def greedy_boundaries(column, labels, n_bins):
@@ -68,6 +75,22 @@ def project_with_clip(alpha, upper):
         if high - low < 1e-12:
             break
     return np.clip(alpha - 0.5 * (low + high), 0.0, upper)
+
+
+def fit_upper(nu, n):
+    """The box bound ``OneClassSVM.fit`` projects onto for ``n`` rows."""
+    upper = 1.0 / max(nu * n, 1.0)
+    if upper * n < 1.0:
+        upper = 1.0 / n + 1e-12
+    return upper
+
+
+def teaser_features(rng, n_rows, n_classes):
+    """TEASER's OC-SVM input: class probabilities plus the top-two margin."""
+    probabilities = rng.dirichlet(np.full(n_classes, 0.5), size=n_rows)
+    ordered = np.sort(probabilities, axis=1)
+    margin = ordered[:, -1:] - ordered[:, -2:-1]
+    return np.concatenate([probabilities, margin], axis=1)
 
 
 def assert_same_bits(actual, expected):
@@ -220,3 +243,137 @@ class TestBoxSimplexProjection:
         reference = svm.OneClassSVM(nu=0.2).fit(rows)
         assert_same_bits(fitted._alpha, reference._alpha)
         assert fitted._rho == reference._rho
+
+    def test_n_one_and_all_equal_alpha(self):
+        for n in (1, 2, 3, 9, 64, 257):
+            for nu in (0.05, 0.5, 1.0):
+                upper = fit_upper(nu, n)
+                for value in (1.0 / n, 0.0, -3.5, 2e5):
+                    alpha = np.full(n, value)
+                    assert_same_bits(
+                        svm._project_box_simplex(alpha, upper),
+                        project_with_clip(alpha, upper),
+                    )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 49, 98, 257])
+    def test_box_exactly_fills_the_simplex(self, n):
+        # n * upper == 1 up to rounding: nu = 1 gives upper = 1/n, and
+        # fit relaxes a box that rounds too tight to 1/n + 1e-12. The root
+        # then sits at the bottom of the bracket.
+        rng = np.random.default_rng(n)
+        for upper in (1.0 / n, fit_upper(1.0, n)):
+            for _ in range(20):
+                alpha = rng.normal(scale=0.5, size=n)
+                assert_same_bits(
+                    svm._project_box_simplex(alpha, upper),
+                    project_with_clip(alpha, upper),
+                )
+
+    def test_plateau_falls_back_to_numpy(self, monkeypatch):
+        # With upper = 1 the total is exactly 1 for every shift in [0, 4]:
+        # the first coordinate sits at the cap and the others at 0. No
+        # margin can certify a decision on that plateau, so numpy takes it.
+        shifts = []
+        numpy_step = svm._bisection_total
+
+        def counting_step(alpha, shift, upper, out):
+            shifts.append(shift)
+            return numpy_step(alpha, shift, upper, out)
+
+        monkeypatch.setattr(svm, "_bisection_total", counting_step)
+        for alpha in (np.array([5.0, 0.0, 0.0]), np.array([0.0, 5.0])):
+            assert_same_bits(
+                svm._project_box_simplex(alpha, 1.0),
+                project_with_clip(alpha, 1.0),
+            )
+        assert shifts
+        assert all(0.0 <= shift <= 4.0 for shift in shifts)
+
+    def test_typical_steps_are_certified(self, monkeypatch):
+        # The speed contract: away from plateaus, almost every decision is
+        # proved, so the numpy step is rare.
+        calls = []
+        numpy_step = svm._bisection_total
+
+        def counting_step(*args):
+            calls.append(args[1])
+            return numpy_step(*args)
+
+        monkeypatch.setattr(svm, "_bisection_total", counting_step)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            alpha = rng.normal(scale=0.3, size=4)
+            svm._project_box_simplex(alpha, fit_upper(0.1, 4))
+        assert len(calls) < 40
+
+    @pytest.mark.parametrize("exponent", [-9, -6, -3, 0, 3, 6])
+    def test_magnitudes(self, exponent):
+        rng = np.random.default_rng(exponent + 10)
+        for _ in range(40):
+            n = int(rng.integers(1, 40))
+            upper = fit_upper(float(rng.uniform(0.01, 1.0)), n)
+            alpha = rng.normal(scale=10.0 ** exponent, size=n)
+            alpha += rng.normal(scale=10.0 ** exponent)
+            assert_same_bits(
+                svm._project_box_simplex(alpha, upper),
+                project_with_clip(alpha, upper),
+            )
+
+    @pytest.mark.parametrize("n", [8, 9, 15, 16, 17, 127, 128, 129, 257])
+    def test_pairwise_summation_sizes(self, n):
+        # numpy sums up to 8 values in sequence, larger arrays in 8-way
+        # blocks: the certificate must hold for any summation order.
+        rng = np.random.default_rng(n)
+        for nu in (0.02, 0.1, 0.5, 1.0):
+            upper = fit_upper(nu, n)
+            for _ in range(10):
+                alpha = 1.0 / n + rng.normal(scale=upper, size=n)
+                assert_same_bits(
+                    svm._project_box_simplex(alpha, upper),
+                    project_with_clip(alpha, upper),
+                )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha(self, bad):
+        rng = np.random.default_rng(3)
+        for n in (1, 3, 9):
+            alpha = rng.normal(size=n)
+            alpha[rng.integers(n)] = bad
+            with np.errstate(invalid="ignore"):
+                assert_same_bits(
+                    svm._project_box_simplex(alpha, 0.5),
+                    project_with_clip(alpha, 0.5),
+                )
+
+    def test_teaser_shaped_fits_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        cases = [
+            teaser_features(rng, int(rng.integers(3, 5)), int(rng.integers(2, 4)))
+            for _ in range(12)
+        ]
+        fitted = [svm.OneClassSVM(nu=0.1).fit(rows) for rows in cases]
+        monkeypatch.setattr(svm, "_project_box_simplex", project_with_clip)
+        for rows, model in zip(cases, fitted):
+            reference = svm.OneClassSVM(nu=0.1).fit(rows)
+            assert_same_bits(model._alpha, reference._alpha)
+            assert model._rho == reference._rho
+
+
+class TestTeaserFilterBits:
+    def test_teaser_matches_reference_projection(self, monkeypatch):
+        train, test = train_test_split(make_sinusoid_dataset(24), 0.25)
+        fitted = TEASER(n_prefixes=3).train(train)
+        monkeypatch.setattr(svm, "_project_box_simplex", project_with_clip)
+        reference = TEASER(n_prefixes=3).train(train)
+
+        filters = [f for f in fitted._filters if f is not None]
+        assert filters, "no prefix trained a one-class filter"
+        for model, expected in zip(fitted._filters, reference._filters):
+            assert (model is None) == (expected is None)
+            if model is not None:
+                assert_same_bits(model._alpha, expected._alpha)
+                assert model._rho == expected._rho
+        assert fitted.v_ == reference.v_
+        assert [
+            (p.label, p.prefix_length) for p in fitted.predict(test)
+        ] == [(p.label, p.prefix_length) for p in reference.predict(test)]
