@@ -39,7 +39,7 @@ from .config import (
 from .coordinator import run_fleet
 from .faults import FleetFaultPlan, parse_fleet_fault_specs
 from .report import FleetReport, ShardSummary
-from .shard import ShardRuntime, StreamDescriptor
+from .shard import StreamDescriptor
 
 __all__ = [
     "AdmissionDecision",
@@ -54,6 +54,5 @@ __all__ = [
     "parse_fleet_fault_specs",
     "FleetReport",
     "ShardSummary",
-    "ShardRuntime",
     "StreamDescriptor",
 ]

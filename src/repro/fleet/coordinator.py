@@ -5,11 +5,10 @@ shard workers and commits their outcomes deterministically, extending
 the runner's execution/commitment split (PR 5) from one-shot grid cells
 to long-lived serving sessions:
 
-* **Execution** happens in shard workers. Each shard is one simulated
-  server (its own virtual clock); streams assigned to it replay in the
-  same canonical event order the single-server harness uses, so a
-  one-shard fleet reproduces :func:`repro.slo.harness.run_scenario`
-  stream for stream.
+* **Execution** happens in shard workers. Each shard runs one
+  :class:`~repro.slo.harness.ReplayEngine` — the single simulated
+  server :func:`repro.slo.harness.run_scenario` replays through — so a
+  one-shard fleet reproduces ``run_scenario`` stream for stream.
 * **Commitment** happens here. A stream's records leave its shard only
   together with its final decision, so the parent can aggregate every
   total in ``global_index`` order regardless of which worker — or which
@@ -55,14 +54,20 @@ from ..core.pool import WorkerDied, fork_available, spawn_worker
 from ..core.streaming import LatencySummary, StreamingDecision
 from ..exceptions import ConfigurationError, ReproError
 from ..obs.logging import get_logger
-from ..obs.trace import get_tracer
-from ..slo.harness import _environment, train_scenario_bundles
+from ..obs.trace import NULL_TRACER, get_tracer, use_tracer
+from ..slo.harness import (
+    ReplayEngine,
+    run_environment,
+    scenario_streams,
+    summarize_responses,
+    train_scenario_bundles,
+)
 from ..slo.scenario import CLOCK_VIRTUAL, Scenario
 from .admission import ADMITTED, DEGRADED, SHED, AdmissionQueue
 from .config import FleetConfig
 from .faults import FAULT_KILL, FleetFaultPlan
 from .report import FleetReport, ShardSummary
-from .shard import ShardRuntime, StreamDescriptor, set_shard_state, shard_main
+from .shard import StreamDescriptor, handle_tick, set_shard_state, shard_main
 
 __all__ = ["run_fleet"]
 
@@ -82,7 +87,7 @@ class _ShardSlot:
         self.index = index
         self.use_fork = use_fork
         self.handle = None
-        self.runtime: ShardRuntime | None = None
+        self.engine: ReplayEngine | None = None
         self._inbox: list[dict] = []
         self.assigned: dict[int, StreamDescriptor] = {}
         self.generations = 0
@@ -101,13 +106,16 @@ class _ShardSlot:
         if self.use_fork:
             self.handle = spawn_worker(self.index, shard_main, name="shard")
         else:
-            self.runtime = ShardRuntime(scenario, bundles, self.index)
+            self.engine = ReplayEngine(scenario, bundles)
 
     def send(self, message: dict) -> None:
         if self.use_fork:
             self.handle.send(message)
         else:
-            self._inbox.append(self.runtime.handle(message))
+            # Untraced like a forked shard, so the trace does not depend
+            # on the execution mode.
+            with use_tracer(NULL_TRACER):
+                self._inbox.append(handle_tick(self.engine, message))
 
     def recv(self, timeout: float) -> dict:
         if self.use_fork:
@@ -191,13 +199,10 @@ def run_fleet(
     set_shard_state(scenario, bundles)
 
     # -- enumerate the requested streams deterministically --------------
-    streams: dict[int, _StreamState] = {}
-    global_index = 0
-    for spec_index, spec in enumerate(scenario.streams):
-        for i in range(spec.count):
-            descriptor = StreamDescriptor(global_index, spec_index, i)
-            streams[global_index] = _StreamState(descriptor)
-            global_index += 1
+    streams = {
+        descriptor.global_index: _StreamState(descriptor)
+        for descriptor in scenario_streams(scenario)
+    }
     n_requested = len(streams)
 
     # -- admission: every stream passes the bounded queue ---------------
@@ -259,7 +264,6 @@ def run_fleet(
         slot.n_consults += outcome["n_consults"]
         slot.misses += outcome["misses"]
         slot.responses.extend(outcome["responses"])
-        slot.last_clock = max(slot.last_clock, outcome["completion_clock"])
 
     def degrade_batch(pending: list[StreamDescriptor]) -> None:
         """Answer ``pending`` from the batched fallback, or shed them."""
@@ -317,7 +321,6 @@ def run_fleet(
                     "n_points": 0,
                     "counters": {},
                     "breaker_recoveries": 0,
-                    "completion_clock": 0.0,
                 }
 
     # -- the tick loop ---------------------------------------------------
@@ -494,12 +497,7 @@ def run_fleet(
     )
 
     deadline = scenario.deadline_seconds
-    latency = None
-    iqr = 0.0
-    if responses:
-        sample = np.asarray(responses, dtype=float)
-        latency = LatencySummary.from_latencies(sample, budget_seconds=deadline)
-        iqr = float(np.quantile(sample, 0.75) - np.quantile(sample, 0.25))
+    latency, iqr = summarize_responses(responses, deadline)
     shard_summaries = [
         ShardSummary(
             shard=slot.index,
@@ -541,5 +539,5 @@ def run_fleet(
         breaker_recoveries=recoveries,
         shards=shard_summaries,
         counters=counters,
-        environment=_environment(time.perf_counter() - wall_start),
+        environment=run_environment(time.perf_counter() - wall_start),
     )

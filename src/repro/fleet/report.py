@@ -21,24 +21,11 @@ from typing import Any
 
 from ..core.streaming import LatencySummary, StreamingDecision
 from ..exceptions import ReproError
+from ..slo.report import stable_latency_dict, stable_round
 from ..slo.scenario import Scenario
 from .config import FleetConfig
 
 __all__ = ["ShardSummary", "FleetReport"]
-
-
-def _round(value: float, digits: int = 9) -> float:
-    """Stabilize floats for JSON round-trips and cross-run comparison."""
-    return round(float(value), digits)
-
-
-def _latency_dict(latency: LatencySummary | None) -> dict | None:
-    if latency is None:
-        return None
-    return {
-        key: (_round(value) if isinstance(value, float) else value)
-        for key, value in latency.as_dict().items()
-    }
 
 
 @dataclass
@@ -60,8 +47,8 @@ class ShardSummary:
             "streams_completed": self.streams_completed,
             "consults": self.n_consults,
             "deadline_misses": self.misses,
-            "latency": _latency_dict(self.latency),
-            "makespan_seconds": _round(self.makespan_seconds),
+            "latency": stable_latency_dict(self.latency),
+            "makespan_seconds": stable_round(self.makespan_seconds),
             "generations": self.generations,
             "deaths": self.deaths,
         }
@@ -171,27 +158,29 @@ class FleetReport:
                 "no_decision": self.n_no_decision,
                 "degraded": self.n_degraded,
                 "shed": self.n_shed,
-                "accuracy": _round(self.accuracy),
-                "mean_decided_at": _round(self.mean_decided_at),
+                "accuracy": stable_round(self.accuracy),
+                "mean_decided_at": stable_round(self.mean_decided_at),
             },
             "load": {
                 "points": self.n_points,
                 "consults": self.n_consults,
-                "makespan_seconds": _round(self.makespan_seconds),
-                "throughput_per_second": _round(self.throughput_per_second),
+                "makespan_seconds": stable_round(self.makespan_seconds),
+                "throughput_per_second": stable_round(
+                    self.throughput_per_second
+                ),
             },
-            "latency": _latency_dict(self.latency),
+            "latency": stable_latency_dict(self.latency),
             "jitter": {
-                "stddev_seconds": _round(
+                "stddev_seconds": stable_round(
                     self.latency.jitter if self.latency else 0.0
                 ),
-                "iqr_seconds": _round(self.iqr_seconds),
+                "iqr_seconds": stable_round(self.iqr_seconds),
             },
             "slo": {
                 "deadline_misses": self.deadline_misses,
-                "deadline_miss_rate": _round(self.deadline_miss_rate),
-                "shed_rate": _round(self.shed_rate),
-                "degraded_rate": _round(self.degraded_rate),
+                "deadline_miss_rate": stable_round(self.deadline_miss_rate),
+                "shed_rate": stable_round(self.shed_rate),
+                "degraded_rate": stable_round(self.degraded_rate),
                 "failovers": self.failovers,
                 "batched_consults": self.batched_consults,
                 "breaker_trips": self.breaker_trips,

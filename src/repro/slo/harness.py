@@ -6,13 +6,20 @@ through :class:`~repro.serve.session.GuardedStreamingSession`:
 1. Train each distinct (algorithm, dataset) pair once on its training
    split; fit guard statistics and the fallback predictor from the same
    split.
-2. Generate every stream's per-point arrival timestamps from the
-   scenario's seeded arrival process and merge them into one global
-   timeline.
-3. Replay the timeline through a single simulated server: a consultation
-   starts at ``max(arrival, server_free)`` and occupies the server for
-   its service time, so bursts queue and queueing shows up in response
-   latency — exactly the mechanism that makes real-time deadlines hard.
+2. Open every stream on one :class:`ReplayEngine` — a single simulated
+   server. A stream is fully determined by its
+   :class:`StreamDescriptor` (seeded arrivals, service times, instance,
+   name), and the engine merges all open streams' arrivals into one
+   timeline ordered by ``(timestamp, global_index, point)``.
+3. Replay the timeline: a consultation starts at
+   ``max(arrival, server_free)`` and occupies the server for its service
+   time, so bursts queue and queueing shows up in response latency —
+   exactly the mechanism that makes real-time deadlines hard.
+
+The same engine runs inside every shard of the serving fleet
+(:mod:`repro.fleet.shard`), which opens streams as the coordinator
+admits them; that is why a one-shard fleet reproduces
+:func:`run_scenario` stream for stream.
 
 Under the ``virtual`` clock, service times come from the scenario's
 seeded :class:`~repro.slo.scenario.ServiceModel` (the wrapped classifier
@@ -30,6 +37,7 @@ report's SLO counters are recomputable from the trace alone via
 
 from __future__ import annotations
 
+import heapq
 import sys
 import time
 import zlib
@@ -55,6 +63,11 @@ from .scenario import CLOCK_VIRTUAL, Scenario
 
 __all__ = [
     "run_scenario",
+    "ReplayEngine",
+    "StreamDescriptor",
+    "scenario_streams",
+    "summarize_responses",
+    "run_environment",
     "derive_seed",
     "bundle_corruptors",
     "SimulatedClassifier",
@@ -78,9 +91,9 @@ class SimulatedClassifier:
     deadline check — reading the same clock — sees exactly that
     duration. Everything else proxies to the trained classifier.
 
-    Shared by the single-server SLO harness and the fleet's shard
-    workers (each shard wraps the bundle classifier around its *own*
-    clock, so a shard is one simulated server).
+    Each :class:`ReplayEngine` wraps the bundle classifier around its
+    *own* clock, so one engine (and one fleet shard) is one simulated
+    server.
     """
 
     def __init__(self, inner, clock: VirtualClock, service, rng) -> None:
@@ -179,19 +192,249 @@ def train_scenario_bundles(
     return bundles
 
 
+@dataclass(frozen=True)
+class StreamDescriptor:
+    """The three integers that fully determine one scenario stream."""
+
+    global_index: int
+    spec_index: int
+    stream_i: int
+
+    def as_dict(self) -> dict:
+        return {
+            "global_index": self.global_index,
+            "spec_index": self.spec_index,
+            "stream_i": self.stream_i,
+        }
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "StreamDescriptor":
+        return cls(
+            global_index=int(raw["global_index"]),
+            spec_index=int(raw["spec_index"]),
+            stream_i=int(raw["stream_i"]),
+        )
+
+
+def scenario_streams(scenario: Scenario) -> list[StreamDescriptor]:
+    """Every stream a scenario requests, in ``global_index`` order."""
+    pairs = [
+        (spec_index, i)
+        for spec_index, spec in enumerate(scenario.streams)
+        for i in range(spec.count)
+    ]
+    return [
+        StreamDescriptor(global_index, spec_index, i)
+        for global_index, (spec_index, i) in enumerate(pairs)
+    ]
+
+
 @dataclass
 class _Stream:
-    """One replaying stream and its per-stream collection state."""
+    """One open stream and its per-stream collection state."""
 
+    descriptor: StreamDescriptor
     name: str
     session: GuardedStreamingSession
     breaker: CircuitBreaker | None
     values: np.ndarray  # (n_variables, length) held-out instance
     true_label: int
-    arrivals: np.ndarray  # per-point arrival timestamps (seconds)
+    n_points: int
+    remaining: int
+    metrics: MetricsRegistry
     pending_arrival: float = 0.0
     responses: list[float] = field(default_factory=list)
-    records: list[ConsultRecord] = field(default_factory=list)
+    misses: int = 0
+
+
+class ReplayEngine:
+    """One simulated server replaying scenario streams in canonical order.
+
+    Streams are opened from their :class:`StreamDescriptor` — all at
+    once by :func:`run_scenario`, or as a fleet shard admits them — and
+    :meth:`run_events` advances the merged arrival timeline in
+    ``(timestamp, global_index, point)`` order. A stream leaves the
+    engine only when its last point has been pushed, as one picklable
+    outcome carrying its decision, responses and counters (per-stream
+    metrics, so callers sum them in ``global_index`` order no matter
+    which engine ran the stream).
+
+    ``scenario.clock`` picks the timing: under ``virtual`` the engine
+    owns a :class:`VirtualClock` that seeded service times advance;
+    under ``wall`` sessions time real consultations and the deadline is
+    enforced preemptively.
+    """
+
+    def __init__(self, scenario: Scenario, bundles: dict) -> None:
+        self.scenario = scenario
+        self.bundles = bundles
+        self.virtual = scenario.clock == CLOCK_VIRTUAL
+        self.clock = VirtualClock() if self.virtual else None
+        self.fault_plan = scenario.fault_plan()
+        self.corruptors = bundle_corruptors(scenario, bundles)
+        self._events: list[tuple[float, int, int]] = []  # heap
+        self._streams: dict[int, _Stream] = {}
+        self.first_arrival: float | None = None
+        self.last_completion = 0.0
+
+    def open_stream(self, descriptor: StreamDescriptor) -> None:
+        """Build one stream's guarded session and queue its arrivals."""
+        scenario = self.scenario
+        spec = scenario.streams[descriptor.spec_index]
+        bundle = self.bundles[(spec.algorithm, spec.dataset)]
+        test = bundle.test
+        instance = descriptor.stream_i % test.n_instances
+        name = f"{spec.dataset}[{instance}]@{spec.algorithm}"
+        length = test.values.shape[2]
+        global_index = descriptor.global_index
+        arrivals = scenario.arrival.generate(
+            length,
+            seed=derive_seed(scenario.seed, global_index, "arrival"),
+            start=global_index * scenario.stagger_ms / 1000.0,
+        )
+        breaker = None
+        if scenario.breaker is not None:
+            breaker = CircuitBreaker(
+                failure_threshold=scenario.breaker.threshold,
+                recovery_seconds=scenario.breaker.recovery_ms / 1000.0,
+                probe_successes=scenario.breaker.probe_successes,
+                clock=self.clock.now if self.virtual else time.monotonic,
+            )
+        classifier = bundle.classifier
+        if self.virtual:
+            classifier = SimulatedClassifier(
+                classifier,
+                self.clock,
+                scenario.service,
+                np.random.default_rng(
+                    np.random.SeedSequence(
+                        derive_seed(scenario.seed, global_index, "service")
+                    )
+                ),
+            )
+        metrics = MetricsRegistry()
+        stream = _Stream(
+            descriptor=descriptor,
+            name=name,
+            session=None,  # filled below (observer needs the stream)
+            breaker=breaker,
+            values=test.values[instance],
+            true_label=int(test.labels[instance]),
+            n_points=len(arrivals),
+            remaining=len(arrivals),
+            metrics=metrics,
+        )
+        stream.session = GuardedStreamingSession(
+            classifier,
+            length,
+            check_every=scenario.check_every,
+            guard=InputGuard(bundle.stats, policy=scenario.guard),
+            fallback=bundle.fallback,
+            deadline_seconds=scenario.deadline_seconds,
+            breaker=breaker,
+            fault_injector=self.fault_plan,
+            corruptor=self.corruptors[(spec.algorithm, spec.dataset)],
+            stream_name=name,
+            algorithm_name=spec.algorithm,
+            metrics=metrics,
+            clock=self.clock.now if self.virtual else time.perf_counter,
+            consult_observer=self._observer(stream),
+            preemptive_deadline=not self.virtual,
+        )
+        self._streams[global_index] = stream
+        for point, timestamp in enumerate(arrivals):
+            heapq.heappush(
+                self._events, (float(timestamp), global_index, point)
+            )
+        first = float(np.min(arrivals))
+        if self.first_arrival is None or first < self.first_arrival:
+            self.first_arrival = first
+
+    def _observer(self, stream: _Stream):
+        deadline = self.scenario.deadline_seconds
+
+        def observe(record: ConsultRecord) -> None:
+            if self.virtual:
+                if (
+                    record.failure_kind == TIMEOUT
+                    and deadline is not None
+                    and record.elapsed_seconds < deadline
+                ):
+                    # A timed-out consultation occupies the server for
+                    # the full deadline before being preempted; injected
+                    # timeouts raise instantly, so charge the remainder.
+                    self.clock.advance(deadline - record.elapsed_seconds)
+                response = self.clock.now() - stream.pending_arrival
+                self.last_completion = max(
+                    self.last_completion, self.clock.now()
+                )
+            else:
+                response = record.elapsed_seconds
+            missed = bool(
+                record.deadline_missed
+                or record.failure_kind == TIMEOUT
+                or (deadline is not None and response > deadline + 1e-12)
+            )
+            stream.misses += missed
+            stream.responses.append(response)
+            span = current_span()
+            span.set_attribute("slo.response_seconds", response)
+            span.set_attribute("slo.deadline_missed", missed)
+
+        return observe
+
+    def run_events(self, max_events: int | None = None) -> list[dict]:
+        """Advance up to ``max_events`` arrival events (``None``: all);
+        return the outcomes of the streams that finished."""
+        completed: list[dict] = []
+        processed = 0
+        while self._events and (max_events is None or processed < max_events):
+            timestamp, global_index, point = heapq.heappop(self._events)
+            stream = self._streams[global_index]
+            if self.virtual:
+                # The consultation starts when both the point has
+                # arrived and the server is free; the clock never runs
+                # backwards.
+                self.clock.advance_to(timestamp)
+            stream.pending_arrival = timestamp
+            stream.session.push(stream.values[:, point])
+            stream.remaining -= 1
+            processed += 1
+            if stream.remaining == 0:
+                completed.append(self._finish(stream))
+        return completed
+
+    def _finish(self, stream: _Stream) -> dict:
+        """Close one fully replayed stream into a picklable outcome."""
+        session = stream.session
+        decision = session.decision
+        if decision is None and session.n_observed:
+            decision = session.finalize()
+        counters = {
+            name: value
+            for name, value in stream.metrics.snapshot().items()
+            if isinstance(value, int)
+        }
+        recoveries = 0
+        if stream.breaker is not None:
+            recoveries = sum(
+                1
+                for _, to_state, _, _ in stream.breaker.transitions
+                if to_state == "closed"
+            )
+        del self._streams[stream.descriptor.global_index]
+        return {
+            "descriptor": stream.descriptor.as_dict(),
+            "name": stream.name,
+            "true_label": stream.true_label,
+            "decision": decision,
+            "responses": stream.responses,
+            "n_consults": len(stream.responses),
+            "misses": stream.misses,
+            "n_points": stream.n_points,
+            "counters": counters,
+            "breaker_recoveries": recoveries,
+        }
 
 
 def run_scenario(
@@ -206,199 +449,68 @@ def run_scenario(
     the scenario's scale and seed; tests inject tiny custom registries.
     """
     wall_start = time.perf_counter()
-    if algorithms is None:
-        algorithms = default_algorithms(fast=True)
-    if datasets is None:
-        datasets = default_datasets(scale=scenario.scale, seed=scenario.seed)
-
-    virtual = scenario.clock == CLOCK_VIRTUAL
-    clock = VirtualClock() if virtual else None
-    deadline = scenario.deadline_seconds
-    metrics = MetricsRegistry()
-    fault_plan = scenario.fault_plan()
-
-    # -- train each distinct (algorithm, dataset) pair once ------------
     bundles = train_scenario_bundles(scenario, algorithms, datasets)
-
-    # -- build streams, sessions, and arrival timelines ----------------
-    streams: list[_Stream] = []
-    misses = 0
-    responses: list[float] = []
-    last_completion = 0.0
-
-    def make_observer(stream: _Stream):
-        def observe(record: ConsultRecord) -> None:
-            nonlocal misses, last_completion
-            if virtual:
-                if (
-                    record.failure_kind == TIMEOUT
-                    and deadline is not None
-                    and record.elapsed_seconds < deadline
-                ):
-                    # A timed-out consultation occupies the server for
-                    # the full deadline before being preempted; injected
-                    # timeouts raise instantly, so charge the remainder.
-                    clock.advance(deadline - record.elapsed_seconds)
-                response = clock.now() - stream.pending_arrival
-            else:
-                response = record.elapsed_seconds
-            missed = bool(
-                record.deadline_missed
-                or record.failure_kind == TIMEOUT
-                or (deadline is not None and response > deadline + 1e-12)
-            )
-            misses += missed
-            stream.responses.append(response)
-            stream.records.append(record)
-            responses.append(response)
-            if virtual:
-                last_completion = max(last_completion, clock.now())
-            span = current_span()
-            span.set_attribute("slo.response_seconds", response)
-            span.set_attribute("slo.deadline_missed", missed)
-
-        return observe
-
-    corruptors = bundle_corruptors(scenario, bundles)
-
-    global_index = 0
-    for spec in scenario.streams:
-        bundle = bundles[(spec.algorithm, spec.dataset)]
-        classifier, stats, fallback, test = (
-            bundle.classifier,
-            bundle.stats,
-            bundle.fallback,
-            bundle.test,
-        )
-        for i in range(spec.count):
-            instance = i % test.n_instances
-            name = f"{spec.dataset}[{instance}]@{spec.algorithm}"
-            length = test.values.shape[2]
-            arrivals = scenario.arrival.generate(
-                length,
-                seed=derive_seed(scenario.seed, global_index, "arrival"),
-                start=global_index * scenario.stagger_ms / 1000.0,
-            )
-            breaker = None
-            if scenario.breaker is not None:
-                breaker = CircuitBreaker(
-                    failure_threshold=scenario.breaker.threshold,
-                    recovery_seconds=scenario.breaker.recovery_ms / 1000.0,
-                    probe_successes=scenario.breaker.probe_successes,
-                    clock=clock.now if virtual else time.monotonic,
-                )
-            serving_classifier = classifier
-            if virtual:
-                serving_classifier = SimulatedClassifier(
-                    classifier,
-                    clock,
-                    scenario.service,
-                    np.random.default_rng(
-                        np.random.SeedSequence(
-                            derive_seed(scenario.seed, global_index, "service")
-                        )
-                    ),
-                )
-            stream = _Stream(
-                name=name,
-                session=None,  # filled below (observer needs the stream)
-                breaker=breaker,
-                values=test.values[instance],
-                true_label=int(test.labels[instance]),
-                arrivals=arrivals,
-            )
-            stream.session = GuardedStreamingSession(
-                serving_classifier,
-                length,
-                check_every=scenario.check_every,
-                guard=InputGuard(stats, policy=scenario.guard),
-                fallback=fallback,
-                deadline_seconds=deadline,
-                breaker=breaker,
-                fault_injector=fault_plan,
-                corruptor=corruptors[(spec.algorithm, spec.dataset)],
-                stream_name=name,
-                algorithm_name=spec.algorithm,
-                metrics=metrics,
-                clock=clock.now if virtual else time.perf_counter,
-                consult_observer=make_observer(stream),
-                preemptive_deadline=not virtual,
-            )
-            streams.append(stream)
-            global_index += 1
-
-    # -- merge per-stream arrivals into one global timeline ------------
-    events = sorted(
-        (float(stream.arrivals[point]), index, point)
-        for index, stream in enumerate(streams)
-        for point in range(len(stream.arrivals))
+    engine = ReplayEngine(scenario, bundles)
+    descriptors = scenario_streams(scenario)
+    for descriptor in descriptors:
+        engine.open_stream(descriptor)
+    outcomes = sorted(
+        engine.run_events(None),
+        key=lambda outcome: outcome["descriptor"]["global_index"],
     )
-    first_arrival = events[0][0] if events else 0.0
 
-    # -- replay through one simulated server ---------------------------
-    for timestamp, stream_index, point in events:
-        stream = streams[stream_index]
-        if virtual:
-            # The consultation starts when both the point has arrived
-            # and the server is free; the clock never runs backwards.
-            clock.advance_to(timestamp)
-        stream.pending_arrival = timestamp
-        stream.session.push(stream.values[:, point])
+    decisions, true_labels, responses = [], [], []
+    counters: dict[str, int] = {}
+    for outcome in outcomes:
+        if outcome["decision"] is not None:
+            decisions.append(outcome["decision"])
+            true_labels.append(outcome["true_label"])
+        responses.extend(outcome["responses"])
+        for name, value in outcome["counters"].items():
+            counters[name] = counters.get(name, 0) + value
 
-    decisions, true_labels = [], []
-    for stream in streams:
-        decision = stream.session.decision
-        if decision is None and stream.session.n_observed:
-            decision = stream.session.finalize()
-        if decision is not None:
-            decisions.append(decision)
-            true_labels.append(stream.true_label)
-
-    # -- aggregate ------------------------------------------------------
     wall_seconds = time.perf_counter() - wall_start
     makespan = (
-        last_completion - first_arrival
-        if virtual
+        engine.last_completion - (engine.first_arrival or 0.0)
+        if engine.virtual
         else wall_seconds
     )
-    latency = iqr = None
-    if responses:
-        sample = np.asarray(responses, dtype=float)
-        latency = LatencySummary.from_latencies(sample, budget_seconds=deadline)
-        iqr = float(np.quantile(sample, 0.75) - np.quantile(sample, 0.25))
-    counters = {
-        name: value
-        for name, value in metrics.snapshot().items()
-        if isinstance(value, int)
-    }
-    recoveries = sum(
-        1
-        for stream in streams
-        if stream.breaker is not None
-        for _, to_state, _, _ in stream.breaker.transitions
-        if to_state == "closed"
-    )
-    report = ScenarioReport(
+    latency, iqr = summarize_responses(responses, scenario.deadline_seconds)
+    return ScenarioReport(
         scenario=scenario,
-        n_streams=len(streams),
-        n_points=sum(len(stream.arrivals) for stream in streams),
+        n_streams=len(descriptors),
+        n_points=sum(outcome["n_points"] for outcome in outcomes),
         n_consults=len(responses),
         decisions=decisions,
         true_labels=true_labels,
         latency=latency,
-        iqr_seconds=iqr or 0.0,
+        iqr_seconds=iqr,
         makespan_seconds=max(makespan, 0.0),
-        deadline_misses=misses,
+        deadline_misses=sum(outcome["misses"] for outcome in outcomes),
         degraded_decisions=sum(1 for d in decisions if d.degraded),
         breaker_trips=counters.get("serve.breaker_trips", 0),
-        breaker_recoveries=recoveries,
+        breaker_recoveries=sum(
+            outcome["breaker_recoveries"] for outcome in outcomes
+        ),
         counters=counters,
-        environment=_environment(wall_seconds),
+        environment=run_environment(wall_seconds),
     )
-    return report
 
 
-def _environment(wall_seconds: float) -> dict:
+def summarize_responses(
+    responses: list[float], deadline: float | None
+) -> tuple[LatencySummary | None, float]:
+    """Latency summary and IQR of response times; ``(None, 0.0)`` when
+    nothing was consulted."""
+    if not responses:
+        return None, 0.0
+    sample = np.asarray(responses, dtype=float)
+    latency = LatencySummary.from_latencies(sample, budget_seconds=deadline)
+    iqr = float(np.quantile(sample, 0.75) - np.quantile(sample, 0.25))
+    return latency, iqr
+
+
+def run_environment(wall_seconds: float) -> dict:
     """Non-deterministic per-run facts, reported but never compared."""
     environment = {
         "wall_seconds": round(wall_seconds, 3),

@@ -18,12 +18,22 @@ from typing import Any
 from ..core.streaming import LatencySummary, StreamingDecision
 from .scenario import Scenario
 
-__all__ = ["ScenarioReport"]
+__all__ = ["ScenarioReport", "stable_round", "stable_latency_dict"]
 
 
-def _round(value: float, digits: int = 9) -> float:
+def stable_round(value: float, digits: int = 9) -> float:
     """Stabilize floats for JSON round-trips and cross-run comparison."""
     return round(float(value), digits)
+
+
+def stable_latency_dict(latency: LatencySummary | None) -> dict | None:
+    """A latency summary's dict form with every float stabilized."""
+    if latency is None:
+        return None
+    return {
+        key: (stable_round(value) if isinstance(value, float) else value)
+        for key, value in latency.as_dict().items()
+    }
 
 
 @dataclass
@@ -88,12 +98,6 @@ class ScenarioReport:
     # ------------------------------------------------------------------
     def deterministic_dict(self) -> dict[str, Any]:
         """The reproducible core: identical across same-seed replays."""
-        latency = None
-        if self.latency is not None:
-            latency = {
-                key: (_round(value) if isinstance(value, float) else value)
-                for key, value in self.latency.as_dict().items()
-            }
         return {
             "scenario": {
                 "name": self.scenario.name,
@@ -105,27 +109,31 @@ class ScenarioReport:
             "streams": {
                 "total": self.n_streams,
                 "decided": self.n_decided,
-                "accuracy": _round(self.accuracy),
-                "mean_decided_at": _round(self.mean_decided_at),
+                "accuracy": stable_round(self.accuracy),
+                "mean_decided_at": stable_round(self.mean_decided_at),
             },
             "load": {
                 "points": self.n_points,
                 "consults": self.n_consults,
-                "makespan_seconds": _round(self.makespan_seconds),
-                "throughput_per_second": _round(self.throughput_per_second),
+                "makespan_seconds": stable_round(self.makespan_seconds),
+                "throughput_per_second": stable_round(
+                    self.throughput_per_second
+                ),
             },
-            "latency": latency,
+            "latency": stable_latency_dict(self.latency),
             "jitter": {
-                "stddev_seconds": _round(
+                "stddev_seconds": stable_round(
                     self.latency.jitter if self.latency else 0.0
                 ),
-                "iqr_seconds": _round(self.iqr_seconds),
+                "iqr_seconds": stable_round(self.iqr_seconds),
             },
             "slo": {
                 "deadline_misses": self.deadline_misses,
-                "deadline_miss_rate": _round(self.deadline_miss_rate),
+                "deadline_miss_rate": stable_round(self.deadline_miss_rate),
                 "degraded_decisions": self.degraded_decisions,
-                "degraded_decision_rate": _round(self.degraded_decision_rate),
+                "degraded_decision_rate": stable_round(
+                    self.degraded_decision_rate
+                ),
                 "breaker_trips": self.breaker_trips,
                 "breaker_recoveries": self.breaker_recoveries,
             },

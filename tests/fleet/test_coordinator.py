@@ -21,9 +21,15 @@ from repro.fleet import (
     parse_fleet_fault_specs,
     run_fleet,
 )
+from repro.obs.events import TraceWriter, read_spans
 from repro.obs.metrics import metrics_from_spans
 from repro.obs.trace import Tracer, use_tracer
-from repro.slo import parse_scenario, run_scenario
+from repro.slo import (
+    bundled_scenarios,
+    parse_scenario,
+    resolve_scenario,
+    run_scenario,
+)
 from tests.conftest import make_sinusoid_dataset
 
 
@@ -85,6 +91,40 @@ def assert_accounted(report):
     )
 
 
+def _decision_tuples(report):
+    return [
+        (d.label, d.decided_at, d.confidence, d.degraded, d.source)
+        for d in report.decisions
+    ]
+
+
+ONE_SHARD = FleetConfig(
+    n_shards=1,
+    max_active_per_shard=64,
+    admission_capacity=64,
+    tick_events=10_000,
+)
+
+
+def assert_fleet_reproduces(fleet, base):
+    """A one-shard fleet report agrees with the single-server harness."""
+    assert fleet.n_decided + fleet.n_no_decision == base.n_streams
+    assert _decision_tuples(fleet) == _decision_tuples(base)
+    assert fleet.n_consults == base.n_consults
+    assert fleet.n_points == base.n_points
+    assert fleet.deadline_misses == base.deadline_misses
+    assert fleet.breaker_recoveries == base.breaker_recoveries
+    assert {
+        key: value
+        for key, value in fleet.counters.items()
+        if not key.startswith("fleet.")
+    } == base.counters
+    ours, theirs = fleet.latency.as_dict(), base.latency.as_dict()
+    jitter = ours.pop("jitter"), theirs.pop("jitter")
+    assert ours == theirs
+    assert jitter[0] == pytest.approx(jitter[1], rel=1e-12)
+
+
 class TestDeterminism:
     def test_same_inputs_reproduce_byte_for_byte(self):
         first = serve(tiny_scenario(), tiny_config())
@@ -114,37 +154,28 @@ class TestDeterminism:
 
 
 class TestSingleShardEquivalence:
+    # A one-shard, no-fault, no-overflow fleet is the single-server SLO
+    # harness with extra plumbing: decisions and SLO totals must agree
+    # exactly, and the latency distribution too (jitter to rel=1e-12).
+
     def test_one_shard_fleet_reproduces_the_harness(self):
-        # A one-shard, no-fault, no-overflow fleet is the single-server
-        # SLO harness with extra plumbing: decisions must agree
-        # bit-for-bit, and the latency distribution must match exactly
-        # (jitter to 1 ulp — stddev accumulation order differs).
         scenario = tiny_scenario()
         algorithms, datasets = tiny_registries()
         base = run_scenario(scenario, algorithms=algorithms, datasets=datasets)
-        fleet = serve(
-            scenario,
-            FleetConfig(
-                n_shards=1,
-                max_active_per_shard=64,
-                admission_capacity=64,
-                tick_events=10_000,
-            ),
+        assert_fleet_reproduces(serve(scenario, ONE_SHARD), base)
+
+    @pytest.mark.parametrize(
+        "name", ["baseline", "bursty", "degraded", "faulty", "overload"]
+    )
+    def test_one_shard_fleet_reproduces_every_bundled_scenario(self, name):
+        # The bundled scenarios on the default registries add what the
+        # tiny one lacks: injected faults with breaker trips (faulty)
+        # and an all-timeout overload.
+        assert name in bundled_scenarios()
+        scenario = resolve_scenario(name)
+        assert_fleet_reproduces(
+            run_fleet(scenario, ONE_SHARD), run_scenario(scenario)
         )
-        assert [
-            (d.label, d.decided_at, d.confidence, d.degraded, d.source)
-            for d in fleet.decisions
-        ] == [
-            (d.label, d.decided_at, d.confidence, d.degraded, d.source)
-            for d in base.decisions
-        ]
-        assert fleet.n_consults == base.n_consults
-        assert fleet.n_points == base.n_points
-        assert fleet.deadline_misses == base.deadline_misses
-        ours, theirs = fleet.latency.as_dict(), base.latency.as_dict()
-        jitter = ours.pop("jitter"), theirs.pop("jitter")
-        assert ours == theirs
-        assert jitter[0] == pytest.approx(jitter[1], rel=1e-12)
 
     def test_one_shard_fleet_corrupts_like_the_harness(self):
         # The scenario's corruption block must reach the shard sessions:
@@ -154,27 +185,13 @@ class TestSingleShardEquivalence:
         )
         algorithms, datasets = tiny_registries()
         base = run_scenario(scenario, algorithms=algorithms, datasets=datasets)
-        fleet = serve(
-            scenario,
-            FleetConfig(
-                n_shards=1,
-                max_active_per_shard=64,
-                admission_capacity=64,
-                tick_events=10_000,
-            ),
-        )
+        fleet = serve(scenario, ONE_SHARD)
         assert base.counters["serve.corrupted_points"] > 0
         assert (
             fleet.counters["serve.corrupted_points"]
             == base.counters["serve.corrupted_points"]
         )
-        assert [
-            (d.label, d.decided_at, d.confidence, d.degraded, d.source)
-            for d in fleet.decisions
-        ] == [
-            (d.label, d.decided_at, d.confidence, d.degraded, d.source)
-            for d in base.decisions
-        ]
+        assert _decision_tuples(fleet) == _decision_tuples(base)
 
 
 class TestFailover:
@@ -313,6 +330,23 @@ class TestTraceRollup:
         ):
             # Zero-valued counters are simply absent from the rollup.
             assert snapshot.get(key, 0) == report.counters[key], key
+
+    def test_forked_shards_never_write_into_the_parent_trace(self, tmp_path):
+        # Shard workers inherit the parent's tracer through fork; one
+        # that kept using it would append its push spans (with span ids
+        # colliding across workers and no parent) to the parent's file.
+        path = tmp_path / "fleet.jsonl"
+        with TraceWriter(path) as writer:
+            with use_tracer(Tracer(on_finish=writer.write_span)):
+                serve(tiny_scenario(), tiny_config(), ["kill:1@1"])
+        spans = read_spans(path)
+        assert len(spans) == writer.n_spans
+        assert len({span.span_id for span in spans}) == len(spans)
+        assert {span.name for span in spans} <= {
+            "fleet_stream",
+            "fleet_batch",
+            "fleet_failover",
+        }
 
 
 class TestFallbackExecutionMode:
