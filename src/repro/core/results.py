@@ -29,9 +29,15 @@ __all__ = [
     "fold_to_dict",
     "fold_from_dict",
     "categories_from_names",
+    "stable_round",
 ]
 
 _FORMAT_VERSION = 1
+
+
+def stable_round(value: float, digits: int = 9) -> float:
+    """Stabilize floats for JSON round-trips and cross-run comparison."""
+    return round(float(value), digits)
 
 
 def fold_to_dict(fold: FoldResult) -> dict:

@@ -98,6 +98,7 @@ class EconomyK(EarlyClassifier):
         self._checkpoints: list[int] | None = None
         self._classifiers: dict[int, GradientBoostingClassifier] | None = None
         self._error_rates: np.ndarray | None = None  # (n_checkpoints, k)
+        self._majority_label: int | None = None
 
     # ------------------------------------------------------------------
     # Training
@@ -160,6 +161,8 @@ class EconomyK(EarlyClassifier):
     def _train(self, dataset: TimeSeriesDataset) -> None:
         validate_univariate(dataset)
         self._checkpoints = prefix_lengths(dataset.length, self.n_checkpoints)
+        labels, counts = np.unique(dataset.labels, return_counts=True)
+        self._majority_label = int(labels[counts.argmax()])
         if self.n_clusters is not None:
             candidates = [self.n_clusters]
         else:
@@ -215,11 +218,20 @@ class EconomyK(EarlyClassifier):
 
     def _predict(self, dataset: TimeSeriesDataset) -> list[EarlyPrediction]:
         assert self._classifiers is not None and self._checkpoints is not None
+        if dataset.length < self._checkpoints[0]:
+            # No base classifier fits a series shorter than the first
+            # checkpoint: force the training majority at the series end.
+            assert self._majority_label is not None
+            return [
+                EarlyPrediction(
+                    label=self._majority_label,
+                    prefix_length=dataset.length,
+                    series_length=dataset.length,
+                )
+            ] * dataset.n_instances
         test_matrix = dataset.values[:, 0, :]
         predictions: list[EarlyPrediction] = []
         reachable = [c for c in self._checkpoints if c <= dataset.length]
-        if not reachable:
-            reachable = [dataset.length]
         assert self._kmeans is not None and self._kmeans.centroids_ is not None
         centroids = self._kmeans.centroids_
         for row in test_matrix:
@@ -235,20 +247,8 @@ class EconomyK(EarlyClassifier):
                     row[:checkpoint], index, squared_distances=squared
                 )
                 if is_last or costs.argmin() == 0:
-                    classifier = self._classifiers.get(checkpoint)
-                    if classifier is None:
-                        # Prefix ladder trimmed by shorter test series: use
-                        # the longest trained checkpoint that fits.
-                        usable = [
-                            c for c in self._classifiers if c <= checkpoint
-                        ]
-                        classifier = self._classifiers[max(usable)]
-                        checkpoint_used = max(usable)
-                    else:
-                        checkpoint_used = checkpoint
-                    label = int(
-                        classifier.predict(row[None, :checkpoint_used])[0]
-                    )
+                    classifier = self._classifiers[checkpoint]
+                    label = int(classifier.predict(row[None, :checkpoint])[0])
                     decided = EarlyPrediction(
                         label=label,
                         prefix_length=checkpoint,

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from ..core.results import stable_round
 from ..core.runner import BenchmarkRunner, RunReport
 from ..exceptions import ConfigurationError
 from .dataset import CorruptedDatasetVariant, corrupted_registry
@@ -48,10 +49,6 @@ CURVE_METRICS = ("accuracy", "f1", "earliness", "harmonic_mean")
 AUC_METRICS = ("accuracy", "harmonic_mean")
 
 _RETENTION_EPSILON = 1e-12
-
-
-def _round(value: float, digits: int = 9) -> float:
-    return round(float(value), digits)
 
 
 @dataclass
@@ -157,7 +154,7 @@ class RobustnessReport:
                 for metric in CURVE_METRICS:
                     points = self.curve(algorithm, op_label, metric)
                     metrics[metric] = {
-                        str(severity): _round(value)
+                        str(severity): stable_round(value)
                         for severity, value in sorted(points.items())
                     }
                 auc = {
@@ -166,7 +163,7 @@ class RobustnessReport:
                         if (value := self.robustness_auc(
                             algorithm, op_label, metric
                         )) is None
-                        else _round(value)
+                        else stable_round(value)
                     )
                     for metric in AUC_METRICS
                 }
@@ -185,7 +182,7 @@ class RobustnessReport:
                         None
                         if (v := self._cell_metric(algorithm, base, metric))
                         is None
-                        else _round(v)
+                        else stable_round(v)
                     )
                     for metric in CURVE_METRICS
                 }

@@ -15,15 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..core.results import stable_round
 from ..core.streaming import LatencySummary, StreamingDecision
 from .scenario import Scenario
 
 __all__ = ["ScenarioReport", "stable_round", "stable_latency_dict"]
-
-
-def stable_round(value: float, digits: int = 9) -> float:
-    """Stabilize floats for JSON round-trips and cross-run comparison."""
-    return round(float(value), digits)
 
 
 def stable_latency_dict(latency: LatencySummary | None) -> dict | None:

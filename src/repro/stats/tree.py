@@ -2,8 +2,8 @@
 
 These are the base learners behind :mod:`repro.stats.boosting`, which in turn
 stands in for the XGBoost base classifiers that ECONOMY-K trains per
-time-point. Splits are found exactly by scanning sorted feature columns with
-vectorised prefix statistics.
+time-point. Splits are found exactly by scanning every sorted feature column
+of a node at once with vectorised prefix statistics.
 """
 
 from __future__ import annotations
@@ -42,34 +42,43 @@ def _validate_matrix(features: np.ndarray, targets: np.ndarray) -> tuple[np.ndar
 
 
 def _best_split_mse(
-    column: np.ndarray, targets: np.ndarray, min_samples_leaf: int
-) -> tuple[float, float] | None:
-    """Best (threshold, score-gain) for one feature under MSE reduction.
+    features: np.ndarray, targets: np.ndarray, min_samples_leaf: int
+) -> tuple[int, float, float] | None:
+    """Best (feature, threshold, score-gain) of a node under MSE reduction.
 
-    Returns ``None`` when no valid split exists. Uses prefix sums over the
-    column-sorted targets: for a split after position i, the impurity drop is
-    proportional to ``S_l^2 / n_l + S_r^2 / n_r`` (larger is better).
+    Scores every column in one 2-D pass and returns ``None`` when no valid
+    split exists. Uses prefix sums over the column-sorted targets: for a
+    split after position i, the impurity drop is proportional to
+    ``S_l^2 / n_l + S_r^2 / n_r`` (larger is better). Each column's
+    ``cumsum`` is a sequential add, so every gain has the bits a
+    column-by-column scan gives. Within a column the first maximum wins (a
+    NaN gain, if any, is that column's maximum); across columns the first
+    column with the strictly largest gain wins, and a NaN gain never does.
     """
-    order = np.argsort(column, kind="stable")
-    sorted_values = column[order]
-    sorted_targets = targets[order]
-    n = len(sorted_targets)
-    prefix = np.cumsum(sorted_targets)
+    n, n_features = features.shape
+    if n < 2 or n_features == 0:
+        return None
+    order = np.argsort(features, axis=0, kind="stable")
+    sorted_values = np.take_along_axis(features, order, axis=0)
+    prefix = np.cumsum(targets[order], axis=0)
     total = prefix[-1]
     positions = np.arange(1, n)
     # Valid split positions: enough samples each side, and a value change.
     valid = (positions >= min_samples_leaf) & (positions <= n - min_samples_leaf)
-    valid &= sorted_values[1:] > sorted_values[:-1]
-    if not valid.any():
-        return None
+    valid = valid[:, None] & (sorted_values[1:] > sorted_values[:-1])
     left_sum = prefix[:-1]
-    left_count = positions.astype(float)
+    left_count = positions.astype(float)[:, None]
     right_count = n - left_count
     gain = left_sum**2 / left_count + (total - left_sum) ** 2 / right_count
     gain = np.where(valid, gain, -np.inf)
-    best = int(gain.argmax())
-    threshold = 0.5 * (sorted_values[best] + sorted_values[best + 1])
-    return threshold, float(gain[best])
+    rows = gain.argmax(axis=0)
+    column_gain = gain[rows, np.arange(n_features)]
+    feature = int(np.where(np.isnan(column_gain), -np.inf, column_gain).argmax())
+    if not column_gain[feature] > -np.inf:
+        return None
+    row = rows[feature]
+    threshold = 0.5 * (sorted_values[row, feature] + sorted_values[row + 1, feature])
+    return feature, threshold, float(column_gain[feature])
 
 
 class DecisionTreeRegressor:
@@ -92,18 +101,12 @@ class DecisionTreeRegressor:
         node = _Node(value=float(targets.mean()))
         if depth >= self.max_depth or len(targets) < self.min_samples_split:
             return node
-        best_gain = -np.inf
-        best_feature = -1
-        best_threshold = 0.0
-        for feature in range(features.shape[1]):
-            split = _best_split_mse(
-                features[:, feature], targets, self.min_samples_leaf
-            )
-            if split is not None and split[1] > best_gain:
-                best_threshold, best_gain = split
-                best_feature = feature
+        split = _best_split_mse(features, targets, self.min_samples_leaf)
+        if split is None:
+            return node
+        best_feature, best_threshold, best_gain = split
         baseline = targets.sum() ** 2 / len(targets)
-        if best_feature < 0 or best_gain <= baseline + 1e-12:
+        if best_gain <= baseline + 1e-12:
             return node
         mask = features[:, best_feature] <= best_threshold
         node.feature = best_feature

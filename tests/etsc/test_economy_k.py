@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core import StreamingSession
 from repro.core.prediction import collect_predictions
 from repro.data import train_test_split
 from repro.etsc import EconomyK
 from repro.exceptions import ConfigurationError
+from repro.serve import GuardedStreamingSession
 from repro.stats import accuracy
 from tests.conftest import make_shift_dataset, make_sinusoid_dataset
 
@@ -90,3 +92,40 @@ class TestDecision:
         ).train(train)
         labels, _ = collect_predictions(model.predict(test))
         assert accuracy(test.labels, labels) > 0.7
+
+
+class TestSeriesShorterThanFirstCheckpoint:
+    @pytest.fixture(scope="class")
+    def trained(self):
+        dataset = make_sinusoid_dataset(40)
+        model = EconomyK(n_clusters=2, n_checkpoints=5, n_estimators=5)
+        return model.train(dataset), dataset
+
+    def test_forced_majority_commitment_at_the_series_end(self, trained):
+        model, dataset = trained
+        labels, counts = np.unique(dataset.labels, return_counts=True)
+        assert model._checkpoints[0] > 1
+        prediction = model.predict_one(dataset.values[0, :, :1])
+        assert prediction.prefix_length == prediction.series_length == 1
+        assert prediction.label == labels[counts.argmax()]
+
+    def test_majority_tie_goes_to_the_smallest_label(self):
+        # make_sinusoid_dataset balances its two classes exactly.
+        dataset = make_sinusoid_dataset(40, seed=3)
+        model = EconomyK(n_clusters=1, n_checkpoints=4, n_estimators=3)
+        model.train(dataset)
+        assert model.predict_one(dataset.values[0, :, :1]).label == 0
+
+    def test_streaming_session_completes(self, trained):
+        model, dataset = trained
+        decision = StreamingSession(model, dataset.length).run(
+            dataset.values[0]
+        )
+        assert decision.decided_at >= model._checkpoints[0]
+
+    def test_guarded_session_records_no_consult_failures(self, trained):
+        model, dataset = trained
+        session = GuardedStreamingSession.for_dataset(model, dataset)
+        decision = session.run(dataset.values[0])
+        assert not decision.degraded
+        assert session.metrics.snapshot().get("serve.consult_failures", 0) == 0
